@@ -184,9 +184,7 @@ def _newton_core(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0=None):
             return x, y, sbar, it, False
         x, y, sbar, rd, rp, base = x_try, y_try, sbar_try, rd_try, rp_try, new
         if float(np.max(np.abs(x))) > ITERATE_NORM_LIMIT:
-            raise NumericalFailure(
-                "iterate norm exceeded limit; relaxation appears unbounded", unbounded_hint=True
-            )
+            raise NumericalFailure("iterate norm exceeded limit; relaxation appears unbounded")
     return x, y, sbar, max_iter, False
 
 
@@ -287,7 +285,6 @@ def solve_barrier(
     mu_cutoff: float,
     tol: float = 1e-8,
     warm: BarrierSolution | None = None,
-    gamma: float = MU_DECREASE,
 ) -> BarrierSolution:
     """Follow the decreasing-mu path and return the solution at the cutoff.
 
@@ -297,8 +294,6 @@ def solve_barrier(
     """
     if mu_cutoff <= 0:
         raise ValueError("mu_cutoff must be positive")
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie in (0, 1)")
     lp = _as_lp(problem)
     Gbar, hbar = _fold(lp)
 
@@ -312,7 +307,7 @@ def solve_barrier(
         mu = mu0
         while mu > mu_cutoff:
             schedule.append(mu)
-            mu *= gamma
+            mu *= MU_DECREASE
         schedule.append(mu_cutoff)
 
     x = x0

@@ -1,10 +1,10 @@
 """Experiment runner: train each method on a benchmark, evaluate by exact
 two-stage regret, and emit per-run and aggregated CSV tables.
 
-Config files are JSON; see ``validate`` for the full schema check.  Results
-are deterministic for a fixed config and seed: every random draw (data,
-penalty vectors, weight init, shuffling) derives from the declared seeds,
-and floats are written with 10 significant digits.
+Config files are JSON; see ``validate_dict`` for the full schema check.
+Results are deterministic for a fixed config and seed: every random draw
+(data, penalty vectors, weight init, shuffling) derives from the declared
+seeds, and floats are written with 10 significant digits.
 """
 
 from __future__ import annotations
@@ -125,17 +125,6 @@ def validate_dict(raw: dict) -> list[str]:
     if "knn_k" in raw and (not isinstance(raw["knn_k"], int) or raw["knn_k"] < 1):
         errors.append("knn_k: positive integer required")
     return errors
-
-
-def validate_config(path: str) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        return [f"cannot read config: {exc}"]
-    except json.JSONDecodeError as exc:
-        return [f"invalid JSON: {exc}"]
-    return validate_dict(raw)
 
 
 def build_problem(name: str, params: dict, penalty_factor: float, seed: int):
@@ -307,22 +296,24 @@ def main(argv=None) -> int:
     p_val.add_argument("config")
     args = parser.parse_args(argv)
 
-    if args.command == "validate":
-        errors = validate_config(args.config)
-        if errors:
-            for e in errors:
-                print(f"config error: {e}", file=sys.stderr)
-            return 2
-        print("config ok")
-        return 0
-
-    errors = validate_config(args.config)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = ExperimentConfig.from_dict(json.load(fh))
+    except OSError as exc:
+        errors = [f"cannot read config: {exc}"]
+    except json.JSONDecodeError as exc:
+        errors = [f"invalid JSON: {exc}"]
+    except ConfigError as exc:
+        errors = exc.errors
+    else:
+        errors = []
     if errors:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
         return 2
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = ExperimentConfig.from_dict(json.load(fh))
+    if args.command == "validate":
+        print("config ok")
+        return 0
     try:
         result = run_experiment(cfg, args.out, base_seed=args.seed, jobs=args.jobs)
     except TspoError as exc:

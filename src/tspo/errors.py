@@ -18,15 +18,7 @@ class Infeasible(TspoError):
 
 
 class NumericalFailure(TspoError):
-    """Linear algebra broke down or iterates diverged.
-
-    ``unbounded_hint`` is set when the failure pattern (iterate norm blowup)
-    suggests an unbounded relaxation rather than conditioning trouble.
-    """
-
-    def __init__(self, message: str, unbounded_hint: bool = False):
-        super().__init__(message)
-        self.unbounded_hint = unbounded_hint
+    """Linear algebra broke down or iterates diverged."""
 
 
 class NotInterior(TspoError):

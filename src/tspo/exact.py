@@ -1,12 +1,10 @@
 """Exact LP and MILP solving for test-time optimization and oracles.
 
-The LP path runs the interior-point solver to a tiny barrier weight and then
-purifies the iterate onto the active face, which recovers vertex-exact
-objectives on desk-scale instances.  MILPs are solved by best-first branch
-and bound over LP relaxations.  A presolve pass fixes variables pinned by
-singleton rows (x_j <= 0 together with x_j >= 0, branching bounds, hard
-commitments); this is what lets an interior-point backend handle node LPs
-whose feasible region has an empty interior.
+LPs are solved by a dense two-phase tableau simplex under Bland's rule
+(smallest-index entering column, smallest basic index among tied ratios),
+which terminates on degenerate LPs and needs no interior point, so node LPs
+whose feasible region is a single face or a single point solve like any
+other.  MILPs are solved by best-first branch and bound over LP relaxations.
 """
 
 from __future__ import annotations
@@ -18,12 +16,19 @@ from enum import Enum
 
 import numpy as np
 
-from .barrier import RelaxedLp, relax, solve_barrier
-from .errors import Infeasible, NodeLimitExceeded, NumericalFailure, TooLarge
+from .barrier import RelaxedLp, _as_lp, relax
+from .errors import NodeLimitExceeded, TooLarge
 from .milp import StandardFormMilp
 
-LP_MU = 1e-9
 INT_TOL = 1e-6
+# Simplex tolerances, on rows scaled to entries of at most 1.  PIVOT_TOL: the
+# smallest usable pivot entry.  COST_TOL: the most negative reduced cost that
+# still counts as optimal (times 1 + max|c| in phase 2).  FEAS_TOL: step
+# lengths this close tie, and a phase-1 optimum this small (times 1 + max
+# rhs) counts as feasible.
+PIVOT_TOL = 1e-9
+COST_TOL = 1e-9
+FEAS_TOL = 1e-9
 
 
 class Status(Enum):
@@ -40,99 +45,6 @@ class ExactSolution:
     node_count: int = 0
 
 
-def _as_lp(problem) -> RelaxedLp:
-    return relax(problem) if isinstance(problem, StandardFormMilp) else problem
-
-
-@dataclass
-class _Presolved:
-    status: Status
-    free: np.ndarray  # indices of surviving variables
-    values: np.ndarray  # full-length vector, fixed entries filled
-    lp: RelaxedLp | None
-    obj_offset: float
-
-
-def _presolve(lp: RelaxedLp) -> _Presolved:
-    d = lp.d
-    free = np.ones(d, dtype=bool)
-    values = np.zeros(d)
-    A, b = lp.A.copy(), lp.b.copy()
-    G, h = lp.G.copy(), lp.h.copy()
-    keep_g = np.ones(lp.q, dtype=bool)
-    keep_a = np.ones(lp.p, dtype=bool)
-    feas_tol = 1e-9 * (1.0 + max(float(np.max(np.abs(h))) if lp.q else 0.0, float(np.max(np.abs(b))) if lp.p else 0.0))
-
-    def fail():
-        return _Presolved(Status.INFEASIBLE, np.where(free)[0], values, None, 0.0)
-
-    while True:
-        lb = np.where(free, 0.0, -np.inf)
-        ub = np.full(d, np.inf)
-        for i in range(lp.q):
-            if not keep_g[i]:
-                continue
-            row = G[i]
-            nz = np.where(free & (np.abs(row) > 1e-12))[0]
-            if nz.size == 0:
-                if h[i] > feas_tol:
-                    return fail()
-                keep_g[i] = False
-            elif nz.size == 1:
-                j, g = nz[0], row[nz[0]]
-                if g > 0:
-                    lb[j] = max(lb[j], h[i] / g)
-                else:
-                    ub[j] = min(ub[j], h[i] / g)
-        fixes: dict[int, float] = {}
-        for i in range(lp.p):
-            if not keep_a[i]:
-                continue
-            row = A[i]
-            nz = np.where(free & (np.abs(row) > 1e-12))[0]
-            if nz.size == 0:
-                if abs(b[i]) > feas_tol:
-                    return fail()
-                keep_a[i] = False
-            elif nz.size == 1:
-                j = nz[0]
-                val = b[i] / row[j]
-                if j in fixes and abs(fixes[j] - val) > 1e-9:
-                    return fail()
-                fixes[j] = val
-                keep_a[i] = False
-        for j in np.where(free)[0]:
-            if lb[j] > ub[j] + 1e-9:
-                return fail()
-            if ub[j] - lb[j] <= 1e-12:
-                fixes.setdefault(j, lb[j])
-        for j, val in fixes.items():
-            if val < -1e-9 or lb[j] - 1e-9 > val or val > ub[j] + 1e-9:
-                return fail()
-        if not fixes:
-            break
-        for j, val in fixes.items():
-            free[j] = False
-            values[j] = val
-            b -= A[:, j] * val
-            h -= G[:, j] * val
-            A[:, j] = 0.0
-            G[:, j] = 0.0
-
-    free_idx = np.where(free)[0]
-    obj_offset = float(lp.c[~free] @ values[~free])
-    if free_idx.size == 0:
-        return _Presolved(Status.OPTIMAL, free_idx, values, None, obj_offset)
-    reduced = RelaxedLp(
-        lp.c[free_idx],
-        A[keep_a][:, free_idx] if lp.p else np.zeros((0, free_idx.size)),
-        b[keep_a] if lp.p else np.zeros(0),
-        G[keep_g][:, free_idx] if lp.q else np.zeros((0, free_idx.size)),
-        h[keep_g] if lp.q else np.zeros(0),
-    )
-    return _Presolved(Status.OPTIMAL, free_idx, values, reduced, obj_offset)
-
-
 def _lp_feasible(lp: RelaxedLp, x: np.ndarray, tol: float) -> bool:
     if np.min(x, initial=np.inf) < -tol:
         return False
@@ -143,70 +55,94 @@ def _lp_feasible(lp: RelaxedLp, x: np.ndarray, tol: float) -> bool:
     return True
 
 
-def _purify(lp: RelaxedLp, x: np.ndarray) -> np.ndarray:
-    """Project the interior iterate onto its active face.
+def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    T[r] /= T[r, j]
+    col = T[:, j].copy()
+    col[r] = 0.0
+    T -= np.outer(col, T[r])
+    basis[r] = j
 
-    Variables within threshold of zero are pinned, tight inequality rows are
-    made exact equalities, and the minimum-norm correction satisfying that
-    system is applied.  Falls back to the barrier point if the projected
-    point is inconsistent, infeasible, or worse.
+
+def _bland(T: np.ndarray, basis: np.ndarray, cost_tol: float) -> bool:
+    """Pivot the tableau to optimality under Bland's rule; False if unbounded.
+
+    The last row holds the reduced costs and, in its last entry, minus the
+    objective; the last column holds the basic values.
     """
-    obj = float(lp.c @ x)
-    scale_x = 1.0 + float(np.max(np.abs(x)))
-    h_scale = 1.0 + (np.abs(lp.h) if lp.q else np.zeros(0))
-    slack = lp.G @ x - lp.h if lp.q else np.zeros(0)
-    tol_abs = 1e-8 * (scale_x + (float(np.max(np.abs(lp.h))) if lp.q else 0.0))
-    for thr in (1e-6, 1e-8):
-        pinned = np.where(x <= thr * scale_x)[0]
-        act = np.where(slack <= thr * h_scale)[0] if lp.q else np.array([], dtype=int)
-        rows = []
-        rhs = []
-        if lp.p:
-            rows.append(lp.A)
-            rhs.append(lp.b)
-        if act.size:
-            rows.append(lp.G[act])
-            rhs.append(lp.h[act])
-        if pinned.size:
-            eye = np.eye(lp.d)
-            rows.append(eye[pinned])
-            rhs.append(np.zeros(pinned.size))
-        if not rows:
-            return x
-        E = np.vstack(rows)
-        f = np.concatenate(rhs)
-        delta, *_ = np.linalg.lstsq(E, E @ x - f, rcond=None)
-        cand = x - delta
-        if (
-            float(np.max(np.abs(E @ cand - f))) <= tol_abs
-            and _lp_feasible(lp, cand, tol_abs)
-            and float(lp.c @ cand) <= obj + 1e-7 * (1.0 + abs(obj))
-        ):
-            return cand
-    return x
+    m = T.shape[0] - 1
+    while True:
+        enter = np.flatnonzero(T[m, :-1] < -cost_tol)
+        if enter.size == 0:
+            return True
+        j = int(enter[0])
+        col = T[:m, j]
+        rows = np.flatnonzero(col > PIVOT_TOL)
+        if rows.size == 0:
+            return False
+        # Rounding leaves degenerate basic values at +-1e-10 or so; they all
+        # tie at ratio 0, as Bland's rule needs to stay finite.
+        ratios = np.maximum(T[rows, -1], 0.0) / col[rows]
+        ties = rows[ratios <= ratios.min() + FEAS_TOL]
+        _pivot(T, basis, int(ties[np.argmin(basis[ties])]), j)
 
 
 def solve_lp_exact(problem: RelaxedLp | StandardFormMilp) -> ExactSolution:
-    """Exact LP optimum (vertex purification on top of the barrier path)."""
+    """Exact LP optimum by a dense two-phase tableau simplex.
+
+    The LP is put in equality form [A 0; G -I][x; s] = [b; h] with slacks
+    s >= 0, each row signed so that its right-hand side is nonnegative.
+    Phase 1 minimises the sum of one artificial per row; artificials left
+    basic at level zero are pivoted out, or their row is dropped as
+    redundant.  Phase 2 then minimises c'x from that basis, and the basic
+    values are recomputed with one solve on the final basis matrix.
+    """
     lp = _as_lp(problem)
-    pre = _presolve(lp)
-    if pre.status is Status.INFEASIBLE:
-        return ExactSolution(np.full(lp.d, np.nan), np.nan, Status.INFEASIBLE)
-    values = pre.values.copy()
-    if pre.lp is None:
-        return ExactSolution(values, float(lp.c @ values), Status.OPTIMAL)
-    try:
-        # Aggressive schedule: purification does the last stretch to the vertex.
-        sol = solve_barrier(pre.lp, mu_cutoff=LP_MU, tol=1e-9, gamma=0.02)
-    except Infeasible:
-        return ExactSolution(np.full(lp.d, np.nan), np.nan, Status.INFEASIBLE)
-    except NumericalFailure as exc:
-        if exc.unbounded_hint:
-            return ExactSolution(np.full(lp.d, np.nan), -np.inf, Status.UNBOUNDED)
-        raise
-    xr = _purify(pre.lp, sol.x)
-    values[pre.free] = xr
-    return ExactSolution(values, float(lp.c @ values), Status.OPTIMAL)
+    d, q = lp.d, lp.q
+    M = np.block([[lp.A, np.zeros((lp.p, q))], [lp.G, -np.eye(q)]])
+    rhs = np.concatenate([lp.b, lp.h])
+    # Flip rows to rhs >= 0 and scale down those with entries above 1, so
+    # that the absolute tolerances below hold on badly scaled data too.
+    scale = np.where(rhs < 0, -1.0, 1.0) / np.max(np.abs(M), axis=1, initial=1.0)
+    M *= scale[:, None]
+    rhs *= scale
+    m, n = M.shape
+
+    # Phase 1.  Artificial k has index n + k; it starts basic in row k and,
+    # once it leaves, never re-enters, so its column is not kept.
+    T = np.zeros((m + 1, n + 1))
+    T[:m, :n] = M
+    T[:m, -1] = rhs
+    T[m] = -T[:m].sum(axis=0)
+    basis = np.arange(n, n + m)
+    _bland(T, basis, COST_TOL)
+    if -T[m, -1] > FEAS_TOL * (1.0 + float(np.max(rhs, initial=0.0))):
+        return ExactSolution(np.full(d, np.nan), np.nan, Status.INFEASIBLE)
+
+    # An artificial still basic (at level zero) is pivoted out.  If its row
+    # is zero over the real columns, its constraint is redundant: both go.
+    live = np.ones(m + 1, dtype=bool)  # tableau rows
+    kept = np.ones(m, dtype=bool)  # constraints
+    for r in np.flatnonzero(basis >= n):
+        j = int(np.argmax(np.abs(T[r, :n])))
+        if abs(T[r, j]) > PIVOT_TOL:
+            _pivot(T, basis, int(r), j)
+        else:
+            live[r] = False
+            kept[basis[r] - n] = False
+    T = T[live]
+    basis = basis[live[:m]]
+
+    # Phase 2: reduced costs of c'x relative to the feasible basis.
+    cost = np.concatenate([lp.c, np.zeros(q)])
+    T[-1, :n] = cost - cost[basis] @ T[:-1, :n]
+    T[-1, -1] = -cost[basis] @ T[:-1, -1]
+    if not _bland(T, basis, COST_TOL * (1.0 + float(np.max(np.abs(lp.c), initial=0.0)))):
+        return ExactSolution(np.full(d, np.nan), -np.inf, Status.UNBOUNDED)
+
+    xs = np.zeros(n)
+    xs[basis] = np.linalg.solve(M[kept][:, basis], rhs[kept])
+    x = xs[:d]
+    return ExactSolution(x, float(lp.c @ x), Status.OPTIMAL)
 
 
 def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:

@@ -132,13 +132,6 @@ class ParamTemplate:
             if s.theta_index < 0 or s.theta_index >= self.t:
                 raise DimensionMismatch(f"slot theta_index {s.theta_index} out of range for t={self.t}")
 
-    def slotted_blocks(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for s in self.slots:
-            if s.block not in seen:
-                seen.append(s.block)
-        return tuple(seen)
-
 
 def instantiate(template: ParamTemplate, theta: np.ndarray) -> StandardFormMilp:
     """Fill a template's slots with ``theta`` and return the concrete MILP."""

@@ -63,6 +63,8 @@ class TwoStageProblem:
     # Stage-2 variable vectors may carry auxiliaries; the first slice of this
     # length is the decision part comparable with Stage-1 solutions.
     stage2_primary_dim: int = 0
+    # True optima by the bytes of theta; see ``true_optimum``.
+    tov_cache: dict[bytes, ExactSolution] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def stage2_build(self, x1: np.ndarray, theta: np.ndarray) -> StandardFormMilp:
         return instantiate(self.stage2_template(theta), x1)
@@ -93,19 +95,14 @@ class TrainConfig:
     track_validation: bool = True
 
 
-_TOV_CACHE: dict[tuple[int, bytes], ExactSolution] = {}
-
-
 def true_optimum(problem: TwoStageProblem, theta: np.ndarray) -> ExactSolution:
-    """Optimum under the true parameters; cached since every method evaluated
-    on the same test instance shares this solve."""
-    key = (id(problem), np.asarray(theta, dtype=float).tobytes())
-    sol = _TOV_CACHE.get(key)
+    """Optimum under the true parameters; cached on the problem since every
+    method evaluated on the same test instance shares this solve."""
+    key = np.asarray(theta, dtype=float).tobytes()
+    sol = problem.tov_cache.get(key)
     if sol is None:
         sol = solve_milp_bnb(instantiate(problem.stage1, theta))
-        if len(_TOV_CACHE) > 100_000:
-            _TOV_CACHE.clear()
-        _TOV_CACHE[key] = sol
+        problem.tov_cache[key] = sol
     if sol.status is not Status.OPTIMAL:
         raise Infeasible(f"{problem.name}: no true optimum ({sol.status.value})")
     return sol

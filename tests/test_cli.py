@@ -45,6 +45,11 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(base_config(methods=["zz"])))
         assert main(["validate", str(bad)]) == 2
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        assert main(["validate", str(broken)]) == 2
+        assert main(["run", str(broken)]) == 2
+        assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
 class TestBuildProblem:

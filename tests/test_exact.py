@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from tspo.barrier import RelaxedLp, relax
+from tspo.cli import build_problem
+from tspo.dataio import generate
 from tspo.errors import NodeLimitExceeded, TooLarge
 from tspo.exact import Status, enumerate_binary, solve_lp_exact, solve_milp_bnb
-from tspo.milp import StandardFormMilp, check_feasibility
+from tspo.milp import StandardFormMilp, check_feasibility, instantiate
+from tspo.problems import synth_spec_for
 from tspo.testutil import RandomLpSpec, gen_feasible_lp, vertex_enumerate_lp
 
 
@@ -18,6 +21,21 @@ def knapsack_milp(f, s, cap):
         h=np.concatenate([[-float(cap)], -np.ones(d)]),
         int_vars=frozenset(range(d)),
     )
+
+
+def lp_with_known_optimum(seed, p, q, d=30, scale=1e3):
+    """Sparse LP with entries around ``scale``, a redundant equality row and an
+    optimum x fixed by construction (c meets the KKT conditions at x).
+    Returns the LP and c'x."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.5, 2.0, d) * (rng.random(d) < 0.5)
+    A = rng.normal(size=(p, d)) * (rng.random((p, d)) < 0.5)
+    A = np.vstack([A, A[0] + A[1]])
+    G = rng.normal(size=(q, d)) * (rng.random((q, d)) < 0.5)
+    active = rng.random(q) < 0.4
+    h = G @ x - np.where(active, 0.0, rng.uniform(0.1, 1.0, q))
+    c = A.T @ rng.normal(size=p + 1) + G.T @ (active * rng.uniform(0.0, 1.0, q)) + (x == 0) * rng.uniform(0.0, 1.0, d)
+    return RelaxedLp(c, scale * A, scale * (A @ x), scale * G, scale * h), float(c @ x)
 
 
 class TestSolveLpExact:
@@ -34,12 +52,26 @@ class TestSolveLpExact:
         assert sol.objective == pytest.approx(1.0, abs=1e-8)
 
     def test_random_lps_match_vertex_enumeration(self):
-        for seed in range(30):
-            lp, _ = gen_feasible_lp(RandomLpSpec(d=4, p=1, q=5), seed)
+        lps = [gen_feasible_lp(RandomLpSpec(d=4, p=1, q=5), seed)[0] for seed in range(30)]
+        # Equalities only (q=0).  In the hand LP the one basic solution with a
+        # negative entry, x = (-0.5, 0), beats the optimum x = (0, 0.5).
+        lps += [gen_feasible_lp(RandomLpSpec(d=4, p=2, q=0), seed)[0] for seed in range(10)]
+        lps.append(RelaxedLp([1.0, 0.0], [[1.0, -1.0]], [-0.5], np.zeros((0, 2)), []))
+        for lp in lps:
             a = solve_lp_exact(lp)
             b = vertex_enumerate_lp(lp)
             assert a.status is Status.OPTIMAL and b.status is Status.OPTIMAL
             assert a.objective == pytest.approx(b.objective, abs=1e-6)
+
+    def test_badly_scaled_lps_with_known_optimum(self):
+        # Degenerate by construction (zero entries of x, rows active at x), so
+        # Bland's rule must treat rounding-level step lengths as ties to stop.
+        cases = [(seed, 8, 40) for seed in range(300)] + [(seed, 12, 55) for seed in range(50)]
+        for seed, p, q in cases:
+            lp, obj = lp_with_known_optimum(seed, p, q)
+            sol = solve_lp_exact(lp)
+            assert sol.status is Status.OPTIMAL
+            assert sol.objective == pytest.approx(obj, rel=1e-6, abs=1e-6), seed
 
     def test_solution_feasible_per_checker(self):
         for seed in range(10):
@@ -54,7 +86,7 @@ class TestSolveLpExact:
         ub = RelaxedLp([-1.0], np.zeros((0, 1)), [], [[1.0]], [1.0])
         assert solve_lp_exact(ub).status is Status.UNBOUNDED
 
-    def test_presolve_fixed_variables(self):
+    def test_fixed_variables(self):
         # x0 pinned to 0 by opposing singleton rows; x1 pinned to 1
         lp = RelaxedLp(
             [1.0, -2.0, 1.0],
@@ -180,7 +212,14 @@ class TestEnumerateBinary:
             enumerate_binary(m)
 
     def test_bnb_agrees_exactly_on_small_instances(self):
+        milps = []
         for seed in range(20):
             rng = np.random.default_rng(seed + 77)
-            m = knapsack_milp(rng.uniform(1, 9, 7), rng.uniform(1, 6, 7), float(rng.uniform(5, 20)))
+            milps.append(knapsack_milp(rng.uniform(1, 9, 7), rng.uniform(1, 6, 7), float(rng.uniform(5, 20))))
+        # Rostering with 3 shifts per day: branching bounds leave equality rows
+        # whose free variables must all be 0, node LPs with an empty interior.
+        spec, prob = build_problem("nsp", {"n": 3, "k": 2, "s": 3}, 0.25, 0)
+        ds = generate(synth_spec_for(spec, m=8, n=10, noise_std=0.2), seed=300)
+        milps += [instantiate(prob.stage1, theta) for _, theta in ds.instances[:5]]
+        for m in milps:
             assert solve_milp_bnb(m).objective == pytest.approx(enumerate_binary(m).objective, abs=1e-9)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tspo import dataio
+from tspo import cli, dataio
 from tspo.errors import CorrectionInfeasible
-from tspo.exact import enumerate_binary
+from tspo.exact import enumerate_binary, solve_milp_bnb
 from tspo.milp import instantiate
 from tspo.predictor import MlpModel, init_mlp
 from tspo.problems import (
@@ -31,6 +31,7 @@ from tspo.two_stage import (
     surrogate_loss,
     surrogate_loss_grad,
     train,
+    true_optimum,
 )
 
 
@@ -260,6 +261,18 @@ class TestTrainEvaluate:
         summary, reports = evaluate(prob, as_predict_fn(model), list(ds.instances), jobs=2)
         assert len(reports) == 12
         assert summary.mean_preg >= -1e-9
+
+
+class TestTrueOptimumCache:
+    def test_freed_problems_never_share_cached_optima(self):
+        # CPython reuses the id of a freed object, so a cache keyed on the
+        # problem's identity would hand a new problem an old problem's optimum.
+        for seed in range(60):
+            _, prob = cli.build_problem("alloy", {"K": 4, "req": "brass"}, 0.25, seed)
+            theta = np.full(prob.stage1.t, 0.5)
+            fresh = solve_milp_bnb(instantiate(prob.stage1, theta))
+            assert true_optimum(prob, theta).objective == fresh.objective, seed
+            del prob
 
 
 class TestHardCommitment:
