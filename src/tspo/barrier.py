@@ -18,10 +18,12 @@ cutoff itself, which is the point the KKT gradient module differentiates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import Infeasible, NumericalFailure
 from .milp import Assignment, StandardFormMilp, _as_matrix, _as_vector, _freeze
@@ -95,15 +97,39 @@ def _as_lp(problem) -> RelaxedLp:
     return relax(problem) if isinstance(problem, StandardFormMilp) else problem
 
 
+def chol_lower(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor of ``a`` in scipy's ``(factor, lower)`` form.
+
+    This is the LAPACK ``potrf`` call that
+    ``scipy.linalg.cho_factor(a, lower=True, check_finite=False)`` makes, so
+    the factor is bit-identical; skipping scipy's wrapper layers matters
+    because at the sizes here they cost several times the factorization.
+    Raises ``LinAlgError`` when ``a`` is not positive definite.
+    """
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return c, True
+
+
+def chol_solve(factor: tuple[np.ndarray, bool], rhs: np.ndarray) -> np.ndarray:
+    """Solve with a ``chol_lower`` factor; bit-identical to
+    ``scipy.linalg.cho_solve(factor, rhs, check_finite=False)``."""
+    x, info = dpotrs(factor[0], rhs, lower=1)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
+
+
 def _chol_with_reg(H: np.ndarray):
     try:
-        return cho_factor(H, lower=True, check_finite=False)
+        return chol_lower(H)
     except LinAlgError:
         pass
     scale = max(float(np.trace(H)) / max(H.shape[0], 1), 1.0)
     for reg in (NEWTON_REG * scale, 1e-6 * scale):
         try:
-            return cho_factor(H + reg * np.eye(H.shape[0]), lower=True, check_finite=False)
+            return chol_lower(H + reg * np.eye(H.shape[0]))
         except LinAlgError:
             continue
     raise NumericalFailure("Newton system singular beyond regularization")
@@ -123,56 +149,60 @@ def _newton_core(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0=None):
     x = np.asarray(x0, dtype=float).copy()
     y = np.zeros(p)
     sbar = (Gbar @ x - hbar) if sbar0 is None else np.asarray(sbar0, dtype=float).copy()
-    if np.any(sbar <= 0):
+    if (sbar <= 0).any():
         raise NumericalFailure("Newton start point is not strictly interior")
     AT = A.T
     GbarT = Gbar.T
+    no_rows = np.zeros(0)
 
-    c_scale = 1.0 + float(np.max(np.abs(c))) if d else 1.0
-    b_scale = 1.0 + (float(np.max(np.abs(b))) if p else 0.0)
+    c_scale = 1.0 + float(np.abs(c).max()) if d else 1.0
+    b_scale = 1.0 + (float(np.abs(b).max()) if p else 0.0)
+    tol_d = tol * c_scale
+    tol_p = tol * b_scale
 
     def scaled_residual(x, y, sbar):
-        fx = c - mu * (GbarT @ (1.0 / sbar))
-        rd = fx - AT @ y if p else fx
-        rp = A @ x - b if p else np.zeros(0)
-        norm = (float(np.max(np.abs(rd))) if d else 0.0) / c_scale
-        norm += (float(np.max(np.abs(rp))) if p else 0.0) / b_scale
-        return rd, rp, norm
-
-    rd, rp, base = scaled_residual(x, y, sbar)
-    for it in range(1, max_iter + 1):
-        if (float(np.max(np.abs(rd))) if d else 0.0) <= tol * c_scale and (
-            float(np.max(np.abs(rp))) if p else 0.0
-        ) <= tol * b_scale:
-            return x, y, sbar, it - 1, True
+        """The merit norm the line search compares, and the iterate's state:
+        residuals, their max-norms (for the convergence test) and 1/sbar
+        (for the next Hessian)."""
         w = 1.0 / sbar
+        fx = c - mu * (GbarT @ w)
+        rd = fx - AT @ y if p else fx
+        rp = A @ x - b if p else no_rows
+        rd_max = float(np.abs(rd).max()) if d else 0.0
+        rp_max = float(np.abs(rp).max()) if p else 0.0
+        return rd_max / c_scale + rp_max / b_scale, (rd, rp, rd_max, rp_max, w)
+
+    base, (rd, rp, rd_max, rp_max, w) = scaled_residual(x, y, sbar)
+    for it in range(1, max_iter + 1):
+        if rd_max <= tol_d and rp_max <= tol_p:
+            return x, y, sbar, it - 1, True
         Gw = Gbar * w[:, None]
         H = mu * (Gw.T @ Gw)
         Hc = _chol_with_reg(H)
         if p:
-            HiAT = cho_solve(Hc, AT, check_finite=False)
+            HiAT = chol_solve(Hc, AT)
             M = A @ HiAT
             Mc = _chol_with_reg(M)
-            dy = cho_solve(Mc, A @ cho_solve(Hc, rd, check_finite=False) - rp, check_finite=False)
-            dx = cho_solve(Hc, AT @ dy - rd, check_finite=False)
+            dy = chol_solve(Mc, A @ chol_solve(Hc, rd) - rp)
+            dx = chol_solve(Hc, AT @ dy - rd)
         else:
-            dy = np.zeros(0)
-            dx = -cho_solve(Hc, rd, check_finite=False)
+            dy = no_rows
+            dx = -chol_solve(Hc, rd)
 
         gdx = Gbar @ dx
         neg = gdx < 0
-        alpha_max = float(np.min(-sbar[neg] / gdx[neg])) if np.any(neg) else np.inf
+        alpha_max = float((-sbar[neg] / gdx[neg]).min()) if neg.any() else math.inf
         alpha = min(1.0, BOUNDARY_FRACTION * alpha_max)
-        if alpha <= 0 or not np.isfinite(alpha):
+        if alpha <= 0 or not math.isfinite(alpha):
             raise NumericalFailure("step length collapsed to zero")
 
         accepted = False
         for _ in range(40):
             sbar_try = sbar + alpha * gdx
-            if np.all(sbar_try > 0):
+            if (sbar_try > 0).all():
                 x_try = x + alpha * dx
                 y_try = y + alpha * dy if p else y
-                rd_try, rp_try, new = scaled_residual(x_try, y_try, sbar_try)
+                new, trial = scaled_residual(x_try, y_try, sbar_try)
                 if new <= (1.0 - 1e-4 * alpha) * base:
                     accepted = True
                     break
@@ -182,8 +212,9 @@ def _newton_core(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0=None):
         if not accepted:
             # Numerical floor reached; report the best iterate so far.
             return x, y, sbar, it, False
-        x, y, sbar, rd, rp, base = x_try, y_try, sbar_try, rd_try, rp_try, new
-        if float(np.max(np.abs(x))) > ITERATE_NORM_LIMIT:
+        x, y, sbar, base = x_try, y_try, sbar_try, new
+        rd, rp, rd_max, rp_max, w = trial
+        if float(np.abs(x).max()) > ITERATE_NORM_LIMIT:
             raise NumericalFailure("iterate norm exceeded limit; relaxation appears unbounded")
     return x, y, sbar, max_iter, False
 
@@ -197,15 +228,15 @@ def _fold(lp: RelaxedLp) -> tuple[np.ndarray, np.ndarray]:
 
 def _quick_interior(lp: RelaxedLp) -> np.ndarray | None:
     """Cheap candidates that are often strictly interior; None if all fail."""
-    scale = 1.0 + (float(np.max(np.abs(lp.h))) if lp.q else 0.0)
+    scale = 1.0 + (float(np.abs(lp.h).max()) if lp.q else 0.0)
     candidates = [np.full(lp.d, 0.5), np.full(lp.d, 0.1), np.ones(lp.d)]
     if lp.p:
         x_ls, *_ = np.linalg.lstsq(lp.A, lp.b, rcond=None)
         candidates = [x_ls] + [x_ls + 0.5]
     for x in candidates:
-        if np.all(x > 1e-9):
-            eq_ok = not lp.p or float(np.max(np.abs(lp.A @ x - lp.b))) <= 1e-9 * scale
-            ineq_ok = not lp.q or float(np.min(lp.G @ x - lp.h)) > 1e-3 * scale
+        if (x > 1e-9).all():
+            eq_ok = not lp.p or float(np.abs(lp.A @ x - lp.b).max()) <= 1e-9 * scale
+            ineq_ok = not lp.q or float((lp.G @ x - lp.h).min()) > 1e-3 * scale
             if eq_ok and ineq_ok:
                 return x
     return None
@@ -227,7 +258,7 @@ def phase1_interior(lp: RelaxedLp) -> Assignment:
     # Box rows keep the auxiliary barrier problem bounded: without them the
     # log terms reward growing x without limit.  Interior points beyond the
     # box are treated as not found, which is fine at the problem scales here.
-    box = 1e5 * (1.0 + float(np.max(np.abs(x0))))
+    box = 1e5 * (1.0 + float(np.abs(x0).max()))
     ones = np.ones((d, 1))
     rows = [np.hstack([np.eye(d), ones])]
     rhs = [np.zeros(d)]
@@ -246,10 +277,10 @@ def phase1_interior(lp: RelaxedLp) -> Assignment:
     margins = [x0]
     if q:
         margins.append(lp.G @ x0 - lp.h)
-    t0 = 1.0 + max(0.0, -float(np.min(np.concatenate(margins))))
+    t0 = 1.0 + max(0.0, -float(np.concatenate(margins).min()))
     z = np.concatenate([x0, [t0]])
 
-    scale = 1.0 + (float(np.max(np.abs(lp.h))) if q else 0.0)
+    scale = 1.0 + (float(np.abs(lp.h).max()) if q else 0.0)
     stop_at = -1e-6 * scale
     mu = 1.0
     saux = None
@@ -297,12 +328,12 @@ def solve_barrier(
     lp = _as_lp(problem)
     Gbar, hbar = _fold(lp)
 
-    if warm is not None and np.all(Gbar @ warm.x - hbar > 0):
+    if warm is not None and (Gbar @ warm.x - hbar > 0).all():
         x0 = warm.x
         schedule = [mu_cutoff]
     else:
         x0 = phase1_interior(lp)
-        mu0 = max(1.0, float(np.max(np.abs(lp.c))) if lp.d else 1.0)
+        mu0 = max(1.0, float(np.abs(lp.c).max()) if lp.d else 1.0)
         schedule = []
         mu = mu0
         while mu > mu_cutoff:

@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
 
-from .barrier import BarrierSolution, RelaxedLp
+from .barrier import BarrierSolution, RelaxedLp, chol_lower, chol_solve
 from .errors import NotInterior, SingularSystem
 
 EQ_REG = 1e-12  # added to A H^{-1} A' before factorization
@@ -56,7 +56,7 @@ class BlockGradients:
 
 def _slacks(lp: RelaxedLp, sol: BarrierSolution) -> np.ndarray:
     s = lp.G @ sol.x - lp.h if lp.q else np.zeros(0)
-    if np.any(sol.x <= 0) or (lp.q and np.any(s <= 0)):
+    if (sol.x <= 0).any() or (lp.q and (s <= 0).any()):
         raise NotInterior("solution is not strictly interior")
     return s
 
@@ -71,8 +71,21 @@ def hessian_fxx(lp: RelaxedLp, sol: BarrierSolution) -> BarrierHessian:
     return BarrierHessian(H=H)
 
 
+def _factor(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    # Non-finite data raise ValueError here, as scipy's check_finite does.
+    c, lower = chol_lower(np.asarray_chkfinite(a))
+    return np.asarray_chkfinite(c), lower
+
+
+def _solve(factor: tuple[np.ndarray, bool], rhs: np.ndarray) -> np.ndarray:
+    return chol_solve(factor, np.asarray_chkfinite(rhs))
+
+
 class _Factors:
-    """Shared factorization of H (and A H^{-1} A' when equalities exist)."""
+    """Shared factorization of H (and A H^{-1} A' when equalities exist).
+
+    ``Hc`` and ``Mc`` are in scipy's ``(factor, lower)`` form.
+    """
 
     def __init__(self, lp: RelaxedLp, sol: BarrierSolution):
         self.lp = lp
@@ -80,23 +93,23 @@ class _Factors:
         self.s = _slacks(lp, sol)
         self.H = hessian_fxx(lp, sol).H
         try:
-            self.Hc = cho_factor(self.H, lower=True)
+            self.Hc = _factor(self.H)
         except LinAlgError as exc:
             raise SingularSystem(f"barrier Hessian not positive definite: {exc}") from exc
         self.p = lp.p
         if self.p:
-            self.HiAT = cho_solve(self.Hc, lp.A.T)
+            self.HiAT = _solve(self.Hc, lp.A.T)
             M = lp.A @ self.HiAT + EQ_REG * np.eye(self.p)
             try:
-                self.Mc = cho_factor(M, lower=True)
+                self.Mc = _factor(M)
             except LinAlgError as exc:
                 raise SingularSystem(f"A H^-1 A' not invertible: {exc}") from exc
 
     def h_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self.Hc, rhs)
+        return _solve(self.Hc, rhs)
 
     def m_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self.Mc, rhs)
+        return _solve(self.Mc, rhs)
 
     def project(self, rhs: np.ndarray) -> np.ndarray:
         """Apply (H^{-1} A' M^{-1} A H^{-1} - H^{-1}) columnwise."""

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from tspo.barrier import (
+    NEWTON_REG,
     BarrierSolution,
     RelaxedLp,
+    _chol_with_reg,
+    chol_lower,
+    chol_solve,
     phase1_interior,
     relax,
     solve_barrier,
@@ -48,6 +53,44 @@ class TestRelax:
         lp_obj = solve_lp_exact(relax(m)).objective
         int_obj = enumerate_binary(m).objective
         assert lp_obj <= int_obj + 1e-9
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.flags.f_contiguous == b.flags.f_contiguous and a.tobytes() == b.tobytes()
+
+
+class TestCholesky:
+    def test_bitwise_equal_to_scipy(self):
+        # The Newton iterates, and so the chaotic training trajectories, depend
+        # on every bit of the factor and of the solves.
+        rng = np.random.default_rng(0)
+        for n in range(1, 81):
+            B = rng.normal(size=(n, n + 3))
+            H = B @ B.T + 1e-3 * np.eye(n)
+            ours, ref = chol_lower(H), cho_factor(H, lower=True, check_finite=False)
+            assert ours[1] is True and ref[1] is True
+            assert same_bits(ours[0], ref[0])
+            for rhs in (rng.normal(size=n), rng.normal(size=(n, 3)), rng.normal(size=(3, n)).T):
+                assert same_bits(chol_solve(ours, rhs), cho_solve(ref, rhs, check_finite=False))
+
+    def test_not_positive_definite_raises_linalg_error(self):
+        with pytest.raises(LinAlgError, match="2-th leading minor"):
+            chol_lower(np.ones((3, 3)))
+
+    def test_rank_deficient_takes_first_regularization_rung(self):
+        # PSD of rank 2: the unregularized factorization fails at the second
+        # pivot (exactly 0 in integer arithmetic); NEWTON_REG * scale repairs it.
+        H = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 4.0]])
+        with pytest.raises(LinAlgError):
+            chol_lower(H)
+        scale = max(np.trace(H) / 3, 1.0)
+        got = _chol_with_reg(H)
+        assert same_bits(got[0], cho_factor(H + NEWTON_REG * scale * np.eye(3), lower=True)[0])
+        assert not same_bits(got[0], cho_factor(H + 1e-6 * scale * np.eye(3), lower=True)[0])
+
+    def test_indefinite_raises_numerical_failure(self):
+        with pytest.raises(NumericalFailure, match="singular beyond regularization"):
+            _chol_with_reg(np.diag([1.0, -1.0]))
 
 
 class TestFixedMu:

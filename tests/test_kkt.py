@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,25 @@ class TestVjp:
         sol = tight_solve(lp)
         with pytest.raises(SingularSystem):
             kkt.vjp(lp, sol, np.ones(3), blocks=("b",))
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_zero_mu_hessian_is_singular(self, p):
+        # mu = 0 makes H = 0, which has no Cholesky factor
+        lp, _ = gen_feasible_lp(RandomLpSpec(d=4, p=p, q=4), 21)
+        sol = tight_solve(lp)
+        with pytest.raises(SingularSystem, match="not positive definite"):
+            kkt.vjp(lp, dataclasses.replace(sol, mu=0.0), np.ones(lp.d))
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_non_finite_data_raise_value_error(self, p):
+        lp, _ = gen_feasible_lp(RandomLpSpec(d=4, p=p, q=4), 21)
+        sol = tight_solve(lp)
+        blocks = ("c", "h", "G") + (("b", "A") if p else ())
+        for bad_mu in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                kkt.vjp(lp, dataclasses.replace(sol, mu=bad_mu), np.ones(lp.d), blocks=blocks)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                kkt.vjp(lp, sol, np.array([1.0, bad, 0.0, 0.0]), blocks=blocks)
