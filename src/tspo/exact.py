@@ -1,20 +1,24 @@
 """Exact LP and MILP solving for test-time optimization and oracles.
 
-LPs are solved by a dense two-phase tableau simplex under Bland's rule
+LPs are solved by a dense tableau simplex under Bland's rule
 (smallest-index entering column, smallest basic index among tied ratios),
 which terminates on degenerate LPs and needs no interior point, so node LPs
 whose feasible region is a single face or a single point solve like any
-other.  MILPs are solved by best-first branch and bound over LP relaxations.
+other.  MILPs are solved by best-first branch and bound over LP
+relaxations: the root LP starts from a slack crash basis, and each child
+re-solves from its parent's final tableau by the dual simplex.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgesv
 
 from .barrier import RelaxedLp, _as_lp, relax
 from .errors import NodeLimitExceeded, TooLarge
@@ -23,9 +27,10 @@ from .milp import StandardFormMilp
 INT_TOL = 1e-6
 # Simplex tolerances, on rows scaled to entries of at most 1.  PIVOT_TOL: the
 # smallest usable pivot entry.  COST_TOL: the most negative reduced cost that
-# still counts as optimal (times 1 + max|c| in phase 2).  FEAS_TOL: step
-# lengths this close tie, and a phase-1 optimum this small (times 1 + max
-# rhs) counts as feasible.
+# still counts as optimal (times 1 + max|c| in phase 2; dual ratios this close
+# tie).  FEAS_TOL: primal step lengths this close tie, a basic value this
+# negative still counts as feasible, and a phase-1 optimum this small (times
+# 1 + max rhs) counts as feasible.
 PIVOT_TOL = 1e-9
 COST_TOL = 1e-9
 FEAS_TOL = 1e-9
@@ -38,11 +43,34 @@ class Status(Enum):
 
 
 @dataclass(frozen=True)
+class Tableau:
+    """Final simplex state of one LP, from which a child LP is re-solved.
+
+    ``T`` has one row per constraint plus a last row of reduced costs, and
+    one column per variable plus a last column of basic values.  The
+    variables are x, one slack per G row, then one slack per entry of
+    ``bounds``.  ``M`` and ``rhs`` are the root LP's rows in the scaled,
+    signed equality form ``solve_lp_exact`` builds, without the rows phase 1
+    dropped as redundant; every node of one branch and bound shares them.
+    Bound t, ``(j, sense, v)``, is the row ``-sense x_j + s_t = -sense v``
+    after them, i.e. x_j >= v for sense +1 and x_j <= v for sense -1.
+    """
+
+    T: np.ndarray
+    basis: np.ndarray
+    M: np.ndarray
+    rhs: np.ndarray
+    bounds: tuple[tuple[int, int, float], ...] = ()
+
+
+@dataclass(frozen=True)
 class ExactSolution:
     x: np.ndarray
     objective: float
     status: Status
     node_count: int = 0
+    # Final tableau of an optimal LP solve, to warm-start child LPs.
+    tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
 
 def _lp_feasible(lp: RelaxedLp, x: np.ndarray, tol: float) -> bool:
@@ -59,7 +87,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     T[r] /= T[r, j]
     col = T[:, j].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r])
+    T -= col[:, None] * T[r]
     basis[r] = j
 
 
@@ -71,12 +99,12 @@ def _bland(T: np.ndarray, basis: np.ndarray, cost_tol: float) -> bool:
     """
     m = T.shape[0] - 1
     while True:
-        enter = np.flatnonzero(T[m, :-1] < -cost_tol)
+        enter = (T[m, :-1] < -cost_tol).nonzero()[0]
         if enter.size == 0:
             return True
         j = int(enter[0])
         col = T[:m, j]
-        rows = np.flatnonzero(col > PIVOT_TOL)
+        rows = (col > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return False
         # Rounding leaves degenerate basic values at +-1e-10 or so; they all
@@ -86,63 +114,168 @@ def _bland(T: np.ndarray, basis: np.ndarray, cost_tol: float) -> bool:
         _pivot(T, basis, int(ties[np.argmin(basis[ties])]), j)
 
 
-def solve_lp_exact(problem: RelaxedLp | StandardFormMilp) -> ExactSolution:
-    """Exact LP optimum by a dense two-phase tableau simplex.
+def _dual(T: np.ndarray, basis: np.ndarray, cost_tol: float) -> bool:
+    """Pivot a dual-feasible tableau to primal feasibility by the dual
+    simplex; False if the LP is infeasible.
 
-    The LP is put in equality form [A 0; G -I][x; s] = [b; h] with slacks
-    s >= 0, each row signed so that its right-hand side is nonnegative.
-    Phase 1 minimises the sum of one artificial per row; artificials left
-    basic at level zero are pivoted out, or their row is dropped as
-    redundant.  Phase 2 then minimises c'x from that basis, and the basic
-    values are recomputed with one solve on the final basis matrix.
+    Bland-style choices keep it finite on degenerate LPs: the leaving row is
+    the infeasible row with the smallest basic index, the entering column
+    the smallest index among the tied minimum ratios.  A negative row with
+    no negative entry proves infeasibility.
     """
-    lp = _as_lp(problem)
-    d, q = lp.d, lp.q
-    M = np.block([[lp.A, np.zeros((lp.p, q))], [lp.G, -np.eye(q)]])
-    rhs = np.concatenate([lp.b, lp.h])
-    # Flip rows to rhs >= 0 and scale down those with entries above 1, so
-    # that the absolute tolerances below hold on badly scaled data too.
-    scale = np.where(rhs < 0, -1.0, 1.0) / np.max(np.abs(M), axis=1, initial=1.0)
-    M *= scale[:, None]
-    rhs *= scale
-    m, n = M.shape
+    m = T.shape[0] - 1
+    while True:
+        rows = (T[:m, -1] < -FEAS_TOL).nonzero()[0]
+        if rows.size == 0:
+            return True
+        r = int(rows[basis[rows].argmin()])
+        cols = (T[r, :-1] < -PIVOT_TOL).nonzero()[0]
+        if cols.size == 0:
+            return False
+        ratios = np.maximum(T[m, cols], 0.0) / -T[r, cols]
+        _pivot(T, basis, r, int(cols[ratios <= ratios.min() + cost_tol][0]))
 
-    # Phase 1.  Artificial k has index n + k; it starts basic in row k and,
-    # once it leaves, never re-enters, so its column is not kept.
+
+def _root_tableau(lp: RelaxedLp) -> Tableau | None:
+    """Phase 1 from a slack crash basis, then phase-2 reduced costs; None if
+    the LP is infeasible."""
+    d, p, q = lp.d, lp.p, lp.q
+    m, n = p + q, d + q
+    # Scale rows down to entries of at most 1, so that the absolute
+    # tolerances hold on badly scaled data too, and sign them to rhs >= 0.
+    # A G row with h_i <= 0 is signed so that its slack (scaled with the row)
+    # is a unit column: it starts basic and the row needs no artificial.
+    K = np.vstack([lp.A, lp.G])
+    sign = np.concatenate([np.where(lp.b < 0, -1.0, 1.0), np.where(lp.h > 0, 1.0, -1.0)])
+    scale = sign / np.max(np.abs(K), axis=1, initial=1.0)
+    M = np.zeros((m, n))
+    M[:, :d] = scale[:, None] * K
+    M[p:, d:] = np.diag(-sign[p:])
+    rhs = scale * np.concatenate([lp.b, lp.h])
+    crash = np.concatenate([np.zeros(p, dtype=bool), lp.h <= 0])
+
+    # Phase 1 over the other rows.  Artificial k has index n + k; it starts
+    # basic in row k and, once it leaves, never re-enters, so its column is
+    # not kept.
     T = np.zeros((m + 1, n + 1))
     T[:m, :n] = M
     T[:m, -1] = rhs
-    T[m] = -T[:m].sum(axis=0)
-    basis = np.arange(n, n + m)
-    _bland(T, basis, COST_TOL)
-    if -T[m, -1] > FEAS_TOL * (1.0 + float(np.max(rhs, initial=0.0))):
-        return ExactSolution(np.full(d, np.nan), np.nan, Status.INFEASIBLE)
-
-    # An artificial still basic (at level zero) is pivoted out.  If its row
-    # is zero over the real columns, its constraint is redundant: both go.
-    live = np.ones(m + 1, dtype=bool)  # tableau rows
+    basis = np.where(crash, d - p + np.arange(m), n + np.arange(m))
     kept = np.ones(m, dtype=bool)  # constraints
-    for r in np.flatnonzero(basis >= n):
-        j = int(np.argmax(np.abs(T[r, :n])))
-        if abs(T[r, j]) > PIVOT_TOL:
-            _pivot(T, basis, int(r), j)
-        else:
-            live[r] = False
-            kept[basis[r] - n] = False
-    T = T[live]
-    basis = basis[live[:m]]
+    if not crash.all():
+        T[m] = -T[:m][~crash].sum(axis=0)
+        _bland(T, basis, COST_TOL)
+        if -T[m, -1] > FEAS_TOL * (1.0 + float(np.max(rhs, initial=0.0))):
+            return None
+        # An artificial still basic (at level zero) is pivoted out.  If its
+        # row is zero over the real columns, its constraint is redundant:
+        # both go.
+        live = np.ones(m + 1, dtype=bool)  # tableau rows
+        for r in np.flatnonzero(basis >= n):
+            j = int(np.argmax(np.abs(T[r, :n])))
+            if abs(T[r, j]) > PIVOT_TOL:
+                _pivot(T, basis, int(r), j)
+            else:
+                live[r] = False
+                kept[basis[r] - n] = False
+        T = T[live]
+        basis = basis[live[:m]]
 
     # Phase 2: reduced costs of c'x relative to the feasible basis.
     cost = np.concatenate([lp.c, np.zeros(q)])
     T[-1, :n] = cost - cost[basis] @ T[:-1, :n]
     T[-1, -1] = -cost[basis] @ T[:-1, -1]
-    if not _bland(T, basis, COST_TOL * (1.0 + float(np.max(np.abs(lp.c), initial=0.0)))):
-        return ExactSolution(np.full(d, np.nan), -np.inf, Status.UNBOUNDED)
+    return Tableau(T, basis, M[kept], rhs[kept])
 
-    xs = np.zeros(n)
-    xs[basis] = np.linalg.solve(M[kept][:, basis], rhs[kept])
-    x = xs[:d]
-    return ExactSolution(x, float(lp.c @ x), Status.OPTIMAL)
+
+def _child_tableau(parent: Tableau, bound: tuple[int, int, float], cost_tol: float) -> Tableau | None:
+    """The parent's final tableau with one more bound row, made feasible by
+    the dual simplex; None if the child LP is infeasible."""
+    j, sense, v = bound
+    P = parent.T
+    m, n = P.shape[0] - 1, P.shape[1] - 1
+    # The new row and its slack column go before the reduced-cost row and
+    # the basic-value column.
+    T = np.zeros((m + 2, n + 2))
+    T[:m, :n] = P[:m, :n]
+    T[:m, -1] = P[:m, -1]
+    T[-1, :n] = P[-1, :n]
+    T[-1, -1] = P[-1, -1]
+    # -sense x_j + s = -sense v, reduced against the row of x_j, which is
+    # basic since it is fractional at the parent.
+    r = int((parent.basis == j).nonzero()[0][0])
+    T[m, :n] = sense * P[r, :n]
+    T[m, j] = 0.0
+    T[m, n] = 1.0
+    T[m, -1] = sense * (P[r, -1] - v)
+    basis = np.concatenate([parent.basis, [n]])
+    if not _dual(T, basis, cost_tol):
+        return None
+    return Tableau(T, basis, parent.M, parent.rhs, parent.bounds + (bound,))
+
+
+def _basic_solve(tab: Tableau) -> np.ndarray:
+    """All variables at the tableau's basis, by one solve on the basis matrix."""
+    m0, n0 = tab.M.shape
+    k = len(tab.bounds)
+    rows = np.zeros((k, n0 + k))
+    rhs = np.empty(k)
+    for t, (j, sense, v) in enumerate(tab.bounds):
+        rows[t, j] = -sense
+        rows[t, n0 + t] = 1.0
+        rhs[t] = -sense * v
+    basis = tab.basis
+    root = basis < n0
+    B = np.zeros((m0 + k, m0 + k))
+    B[:m0, root] = tab.M[:, basis[root]]
+    B[m0:] = rows[:, basis]
+    xs = np.zeros(n0 + k)
+    _, _, xb, info = dgesv(B, np.concatenate([tab.rhs, rhs]))
+    if info:
+        raise LinAlgError("singular basis matrix")
+    xs[basis] = xb
+    return xs
+
+
+def solve_lp_exact(
+    problem: RelaxedLp | StandardFormMilp,
+    warm: tuple[Tableau, tuple[int, int, float]] | None = None,
+) -> ExactSolution:
+    """Exact LP optimum by a dense tableau simplex.
+
+    The LP is put in equality form [A 0; G -I][x; s] = [b; h] with slacks
+    s >= 0, each row scaled down to entries of at most 1 and signed so that
+    its right-hand side is nonnegative.  The start is a slack crash basis:
+    each G row with h_i <= 0 is signed so that its slack is a unit column,
+    and that slack starts basic.  Phase 1 minimises the sum of one
+    artificial per other row (equalities, and G rows with h_i > 0), and is
+    skipped when there are none; artificials left basic at level zero are
+    pivoted out, or their row is dropped as redundant.  Phase 2 then
+    minimises c'x from that basis.
+
+    With ``warm=(tableau, (j, sense, v))`` the LP is ``problem`` plus the
+    bound rows of ``tableau`` plus one more, x_j >= v (sense +1) or
+    x_j <= v (sense -1), where ``tableau`` is the final state of the LP
+    without the new row and x_j is basic in it.  The new row is added with
+    its slack basic, and the dual simplex restores feasibility.
+
+    Either way the basic values are recomputed with one solve on the final
+    basis matrix, so the tableau's rounding drift never reaches x, and an
+    optimal solution carries its final tableau for warm starts.
+    """
+    lp = _as_lp(problem)
+    cost_tol = COST_TOL * (1.0 + float(np.max(np.abs(lp.c), initial=0.0)))
+    tab = _root_tableau(lp) if warm is None else _child_tableau(*warm, cost_tol)
+    if tab is None:
+        return ExactSolution(np.full(lp.d, np.nan), np.nan, Status.INFEASIBLE)
+    if not _bland(tab.T, tab.basis, cost_tol):
+        return ExactSolution(np.full(lp.d, np.nan), -np.inf, Status.UNBOUNDED)
+    xs = _basic_solve(tab)
+    # Children branch on these values, so the tableau takes them too: a
+    # child's bound row then cuts off exactly the x reported here.
+    tab.T[:-1, -1] = xs[tab.basis]
+    x = xs[: lp.d]
+    return ExactSolution(x, float(lp.c @ x), Status.OPTIMAL, tableau=tab)
 
 
 def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
@@ -153,18 +286,6 @@ def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def _with_bounds(lp: RelaxedLp, bounds: tuple[tuple[int, int, float], ...]) -> RelaxedLp:
-    """Append branching rows: (j, +1, v) means x_j >= v; (j, -1, v) means x_j <= v."""
-    if not bounds:
-        return lp
-    rows = np.zeros((len(bounds), lp.d))
-    rhs = np.zeros(len(bounds))
-    for k, (j, sense, v) in enumerate(bounds):
-        rows[k, j] = float(sense)
-        rhs[k] = v if sense > 0 else -v
-    return RelaxedLp(lp.c, lp.A, lp.b, np.vstack([lp.G, rows]), np.concatenate([lp.h, rhs]))
-
-
 def solve_milp_bnb(
     milp: StandardFormMilp,
     node_limit: int = 10**6,
@@ -173,17 +294,23 @@ def solve_milp_bnb(
     """Best-first branch and bound on LP relaxations.
 
     Branches on the most fractional integer variable with floor/ceil bound
-    rows; ties among equal-objective incumbents resolve to the
-    lexicographically smallest solution so reruns are deterministic.
+    rows.  Each child LP is re-solved from its parent's final tableau (see
+    ``solve_lp_exact``); the two children share it, and it is freed once
+    both are popped.  Among equal-objective incumbents the lexicographically
+    smallest of those found is kept, so reruns are deterministic.  Which
+    incumbents are found depends on the LP vertices along the search, so
+    with tied optima this need not be the lexicographically smallest optimum.
     """
     base = relax(milp)
     int_idx = np.array(sorted(milp.int_vars), dtype=int)
     if int_idx.size == 0:
         lp_sol = solve_lp_exact(base)
-        return replace(lp_sol, node_count=1)
+        # Solutions get cached (true optima); they should not hold a tableau.
+        return replace(lp_sol, node_count=1, tableau=None)
 
     counter = itertools.count()
-    heap: list[tuple[float, int, tuple]] = [(-np.inf, next(counter), ())]
+    # (bound estimate, tiebreak, warm start of solve_lp_exact; None at the root)
+    heap: list[tuple[float, int, tuple | None]] = [(-np.inf, next(counter), None)]
     inc_x: np.ndarray | None = None
     inc_obj = np.inf
     nodes = 0
@@ -201,13 +328,13 @@ def solve_milp_bnb(
             inc_x = cand
 
     while heap:
-        bound_est, _, bounds = heapq.heappop(heap)
+        bound_est, _, warm = heapq.heappop(heap)
         if bound_est >= inc_obj - 1e-9:
             continue
         if nodes >= node_limit:
             raise NodeLimitExceeded(f"branch and bound exceeded {node_limit} nodes")
         nodes += 1
-        sol = solve_lp_exact(_with_bounds(base, bounds))
+        sol = solve_lp_exact(base, warm)
         if sol.status is Status.INFEASIBLE:
             if log is not None:
                 log.append({"bound": np.inf, "incumbent": inc_obj, "integral": False})
@@ -221,7 +348,7 @@ def solve_milp_bnb(
         if integral:
             try_incumbent(sol.x)
             continue
-        if not bounds:
+        if warm is None:
             # Rounding heuristics at the root seed the incumbent for pruning.
             floored = sol.x.copy()
             floored[int_idx] = np.floor(floored[int_idx] + 1e-9)
@@ -231,8 +358,8 @@ def solve_milp_bnb(
             continue
         j = int(int_idx[int(np.argmax(np.minimum(frac, 1.0 - frac)))])
         fl = float(np.floor(sol.x[j]))
-        heapq.heappush(heap, (sol.objective, next(counter), bounds + ((j, -1, fl),)))
-        heapq.heappush(heap, (sol.objective, next(counter), bounds + ((j, 1, fl + 1.0),)))
+        heapq.heappush(heap, (sol.objective, next(counter), (sol.tableau, (j, -1, fl))))
+        heapq.heappush(heap, (sol.objective, next(counter), (sol.tableau, (j, 1, fl + 1.0))))
     if inc_x is None:
         return ExactSolution(np.full(milp.d, np.nan), np.nan, Status.INFEASIBLE, nodes)
     return ExactSolution(inc_x, inc_obj, Status.OPTIMAL, nodes)

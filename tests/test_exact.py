@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tspo import exact
 from tspo.barrier import RelaxedLp, relax
 from tspo.cli import build_problem
 from tspo.dataio import generate
@@ -86,6 +87,33 @@ class TestSolveLpExact:
         ub = RelaxedLp([-1.0], np.zeros((0, 1)), [], [[1.0]], [1.0])
         assert solve_lp_exact(ub).status is Status.UNBOUNDED
 
+    def test_warm_child_matches_vertex_enumeration(self):
+        # Two bound rows in a row, each re-solved by the dual simplex from the
+        # previous tableau, against the LP with the rows written out.
+        checked = 0
+        for seed in range(30):
+            lp, _ = gen_feasible_lp(RandomLpSpec(d=4, p=1, q=5), seed)
+            sol, rows, rhs = solve_lp_exact(lp), [], []
+            for depth in range(2):
+                if sol.status is not Status.OPTIMAL:
+                    break
+                j = int(np.argmax(sol.x))
+                if sol.x[j] <= 1e-6:
+                    break
+                sense, v = (-1, 0.5 * sol.x[j]) if (seed + depth) % 2 else (1, 1.5 * sol.x[j])
+                sol = solve_lp_exact(lp, (sol.tableau, (j, sense, v)))
+                rows.append(sense * np.eye(lp.d)[j])
+                rhs.append(sense * v)
+                bounded = RelaxedLp(lp.c, lp.A, lp.b, np.vstack([lp.G, rows]), np.concatenate([lp.h, rhs]))
+                ref = vertex_enumerate_lp(bounded)
+                assert sol.status is ref.status, (seed, depth)
+                if ref.status is Status.OPTIMAL:
+                    assert sol.objective == pytest.approx(ref.objective, abs=1e-6), (seed, depth)
+                    m = StandardFormMilp(bounded.c, bounded.A, bounded.b, bounded.G, bounded.h)
+                    assert check_feasibility(m, sol.x, tol=1e-6).feasible
+                checked += 1
+        assert checked >= 40
+
     def test_fixed_variables(self):
         # x0 pinned to 0 by opposing singleton rows; x1 pinned to 1
         lp = RelaxedLp(
@@ -160,6 +188,45 @@ class TestBranchAndBound:
         )
         assert solve_milp_bnb(m).status is Status.INFEASIBLE
 
+    def test_one_lp_solve_per_node(self, monkeypatch):
+        # perfbench's traced check counts solve_lp_exact calls beneath each
+        # solve_milp_bnb call and requires them to equal node_count.
+        calls = []
+        solve = exact.solve_lp_exact
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "solve_lp_exact", counted)
+        rng = np.random.default_rng(1)
+        milps = [knapsack_milp(rng.uniform(1, 20, 10), rng.uniform(1, 15, 10), 40.0)]
+        spec, prob = build_problem("nsp", {"n": 3, "k": 2, "s": 3}, 0.25, 0)
+        ds = generate(synth_spec_for(spec, m=8, n=10, noise_std=0.2), seed=300)
+        milps.append(instantiate(prob.stage1, ds.instances[0][1]))
+        for m in milps:
+            calls.clear()
+            sol = solve_milp_bnb(m)
+            assert sol.node_count == len(calls) > 1
+            assert sol.tableau is None
+
+    def test_root_feasible_children_infeasible(self, monkeypatch):
+        # 2x = 1 with x binary: the root LP has x = 0.5, and the dual simplex
+        # proves both x <= 0 and x >= 1 infeasible.
+        statuses = []
+        solve = exact.solve_lp_exact
+
+        def recorded(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            statuses.append((len(args) > 1 and args[1] is not None, sol.status))
+            return sol
+
+        monkeypatch.setattr(exact, "solve_lp_exact", recorded)
+        m = StandardFormMilp(c=[1.0], A=[[2.0]], b=[1.0], G=[[-1.0]], h=[-1.0], int_vars=frozenset({0}))
+        sol = solve_milp_bnb(m)
+        assert sol.status is Status.INFEASIBLE and sol.node_count == 3
+        assert statuses == [(False, Status.OPTIMAL), (True, Status.INFEASIBLE), (True, Status.INFEASIBLE)]
+
     def test_mixed_integer_continuous(self):
         # one binary on/off switch with a continuous flow variable
         m = StandardFormMilp(
@@ -221,5 +288,16 @@ class TestEnumerateBinary:
         spec, prob = build_problem("nsp", {"n": 3, "k": 2, "s": 3}, 0.25, 0)
         ds = generate(synth_spec_for(spec, m=8, n=10, noise_std=0.2), seed=300)
         milps += [instantiate(prob.stage1, theta) for _, theta in ds.instances[:5]]
+        # Stage 2 at the enumerated stage-1 optimum under another instance's
+        # parameters.  Knapsack may only drop items: its x <= x1 rows have
+        # h = 0 where x1_j = 0.  Stocking's split equalities have b = x1.
+        for name, params in (("knapsack", {"d": 7, "cap": 15.0}), ("stocking", {"d": 5})):
+            spec, prob = build_problem(name, params, 0.25, 0)
+            ds = generate(synth_spec_for(spec, m=8, n=10, noise_std=0.2), seed=300)
+            thetas = [theta for _, theta in ds.instances[:6]]
+            for theta, other in zip(thetas, thetas[1:] + thetas[:1]):
+                x1 = enumerate_binary(instantiate(prob.stage1, theta)).x
+                milps.append(prob.stage2_build(x1, other))
+        assert all(m.d <= 20 for m in milps)
         for m in milps:
             assert solve_milp_bnb(m).objective == pytest.approx(enumerate_binary(m).objective, abs=1e-9)
