@@ -14,6 +14,10 @@ stationarity conditions
 with S = diag(Gx - h).  ``solve_barrier`` drives ``mu`` down a geometric
 schedule to a caller-chosen cutoff and returns the interior solution at the
 cutoff itself, which is the point the KKT gradient module differentiates.
+Only that cutoff stage is solved to the caller's tolerance: the stages
+before it, and every stage of phase-1, stop at the loose ``CENTERING_TOL``,
+since path following needs only approximate centring between mu updates
+(Boyd & Vandenberghe, Convex Optimization, sec. 11.3).
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ MU_DECREASE = 0.2
 BOUNDARY_FRACTION = 0.995
 ITERATE_NORM_LIMIT = 1e8
 NEWTON_REG = 1e-10
+# Scaled-residual tolerance of the path's intermediate stages and of phase-1.
+CENTERING_TOL = 1e-1
 
 
 @dataclass(frozen=True)
@@ -285,7 +291,7 @@ def phase1_interior(lp: RelaxedLp) -> Assignment:
     mu = 1.0
     saux = None
     while True:
-        z, _, saux, _, _ = _newton_core(caux, Aaux, lp.b, Gaux, haux, mu, z, 1e-9, 80, saux)
+        z, _, saux, _, _ = _newton_core(caux, Aaux, lp.b, Gaux, haux, mu, z, CENTERING_TOL, 80, saux)
         if z[-1] < stop_at or mu <= 1e-9:
             break
         mu *= MU_DECREASE
@@ -319,7 +325,8 @@ def solve_barrier(
 ) -> BarrierSolution:
     """Follow the decreasing-mu path and return the solution at the cutoff.
 
-    The final stage is solved at ``mu_cutoff`` itself.  A ``warm`` solution
+    The final stage is solved at ``mu_cutoff`` itself to ``tol``, the
+    stages before it only to ``CENTERING_TOL``.  A ``warm`` solution
     (e.g. from a nearby problem) skips phase-1 and the schedule and solves
     the cutoff stage directly.
     """
@@ -346,9 +353,8 @@ def solve_barrier(
     sbar = None
     total_iters = 0
     converged = False
-    stage_tol = max(tol, 1e-8)
     for i, mu in enumerate(schedule):
-        this_tol = tol if i == len(schedule) - 1 else stage_tol
+        this_tol = tol if i == len(schedule) - 1 else CENTERING_TOL
         x, y, sbar, iters, converged = _newton_core(lp.c, lp.A, lp.b, Gbar, hbar, mu, x, this_tol, 80, sbar)
         total_iters += iters
     return BarrierSolution(x=x, s=sbar[: lp.q].copy(), y=y, mu=schedule[-1], iterations=total_iters, converged=converged)

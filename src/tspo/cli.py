@@ -240,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, base_seed: int = 0, jobs
                 summary, _ = evaluate(problem, predict, list(test_set), jobs=jobs)
                 detail_rows.append(
                     (cfg.problem, method, pf, seed, summary.mean_preg, summary.std_preg,
-                     summary.mean_tov, summary.feasibility_fraction)
+                     summary.mean_tov, summary.feasibility_fraction, 0 if history is None else history.skipped)
                 )
                 if history is not None:
                     for epoch, val in history.rows():
@@ -248,9 +248,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, base_seed: int = 0, jobs
 
     detail_path = os.path.join(out_dir, "detail.csv")
     with open(detail_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("problem,method,penalty_factor,run_seed,mean_preg,std_preg,mean_tov,feasibility_fraction\n")
+        fh.write("problem,method,penalty_factor,run_seed,mean_preg,std_preg,mean_tov,feasibility_fraction,skipped_steps\n")
         for row in detail_rows:
-            fh.write(",".join([row[0], row[1], _fmt(row[2]), str(row[3])] + [_fmt(v) for v in row[4:]]) + "\n")
+            fh.write(",".join([row[0], row[1], _fmt(row[2]), str(row[3])] + [_fmt(v) for v in row[4:8]] + [str(row[8])]) + "\n")
 
     summary_path = os.path.join(out_dir, "summary.csv")
     groups: dict[tuple, list] = {}

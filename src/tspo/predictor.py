@@ -17,6 +17,7 @@ from .errors import DimensionMismatch, EmptyTrainSet, SingularSystem, StaleTape
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+KNN_BLOCK = 1 << 20
 
 
 @dataclass
@@ -161,17 +162,26 @@ def ridge_predict(weights: np.ndarray, x: np.ndarray) -> float:
     return float(np.asarray(x, dtype=float) @ weights)
 
 
-def knn_predict(train_rows, k: int, query: np.ndarray) -> float:
-    """Mean target of the k nearest rows; distance ties keep the lower row index."""
-    if not len(train_rows):
+def knn_predict(feats: np.ndarray, targets: np.ndarray, k: int, queries: np.ndarray) -> np.ndarray:
+    """Mean target of the k nearest training rows, for every query row at once.
+
+    ``feats`` (n, m) and ``targets`` (n,) are the training rows.  Distance
+    ties keep the lower row index.  Each prediction is bit-identical to
+    ranking one query at a time, since every distance, sort and mean reduces
+    the same numbers in the same order.
+    """
+    if not len(targets):
         raise EmptyTrainSet("no training rows")
-    k = min(int(k), len(train_rows))
-    q = np.asarray(query, dtype=float)
-    feats = np.array([np.asarray(r[0], dtype=float) for r in train_rows])
-    targets = np.array([float(r[1]) for r in train_rows])
-    dist = np.linalg.norm(feats - q, axis=1)
-    idx = np.argsort(dist, kind="stable")[:k]
-    return float(np.mean(targets[idx]))
+    k = min(int(k), len(targets))
+    Q = np.atleast_2d(np.asarray(queries, dtype=float))
+    # Query blocks bound the (block, n, m) difference array to KNN_BLOCK floats.
+    block = max(1, KNN_BLOCK // max(feats.size, 1))
+    out = np.empty(Q.shape[0])
+    for lo in range(0, Q.shape[0], block):
+        dist = np.linalg.norm(feats[None, :, :] - Q[lo : lo + block, None, :], axis=2)
+        idx = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        out[lo : lo + block] = targets[idx].mean(axis=1)
+    return out
 
 
 class MlpModel:
@@ -203,12 +213,14 @@ class RidgeModel:
 class KnnModel:
     def __init__(self, k: int = 5):
         self.k = k
-        self.rows: list = []
+        self.feats = np.zeros((0, 0))
+        self.targets = np.zeros(0)
 
     def fit(self, instances) -> "KnnModel":
-        self.rows = [(feat[j], theta[j]) for feat, theta in instances for j in range(len(theta))]
+        if len(instances):
+            self.feats = np.vstack([np.asarray(feat, dtype=float) for feat, _ in instances])
+            self.targets = np.concatenate([np.asarray(theta, dtype=float) for _, theta in instances])
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        F = np.atleast_2d(features)
-        return np.array([knn_predict(self.rows, self.k, F[j]) for j in range(F.shape[0])])
+        return knn_predict(self.feats, self.targets, self.k, features)

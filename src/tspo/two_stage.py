@@ -159,9 +159,16 @@ def post_hoc_regret(problem: TwoStageProblem, theta_hat: np.ndarray, theta: np.n
 
 
 def _surrogate_stages(problem, theta_hat, theta, mu_cutoff):
+    """Both relaxed stages at the cutoff.  A failed or non-converged solve
+    raises SolverFailure: its point is not the stationary one the KKT
+    gradient assumes, so training skips the step."""
     try:
         sol1 = stage1_solve(problem, theta_hat, mode="barrier", mu_cutoff=mu_cutoff)
+        if not sol1.converged:
+            raise NumericalFailure("stage 1 did not converge")
         sol2 = stage2_solve(problem, sol1.x, theta, mode="barrier", mu_cutoff=mu_cutoff)
+        if not sol2.converged:
+            raise NumericalFailure("stage 2 did not converge")
     except (Infeasible, NumericalFailure, SingularSystem) as exc:
         raise SolverFailure(f"{problem.name}: surrogate solve failed: {exc}") from exc
     return sol1, sol2

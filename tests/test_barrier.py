@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from tspo import barrier, dataio
 from tspo.barrier import (
+    CENTERING_TOL,
+    MU_DECREASE,
     NEWTON_REG,
     BarrierSolution,
     RelaxedLp,
@@ -15,7 +18,9 @@ from tspo.barrier import (
     solve_fixed_mu,
 )
 from tspo.errors import Infeasible, NumericalFailure
-from tspo.milp import StandardFormMilp
+from tspo.cli import build_problem
+from tspo.milp import StandardFormMilp, instantiate
+from tspo.problems import synth_spec_for
 from tspo.testutil import RandomLpSpec, gen_feasible_lp, vertex_enumerate_lp
 
 
@@ -206,3 +211,74 @@ class TestPhase1:
                 and np.max(np.abs(lp.A @ x - lp.b)) < 1e-6 * (1 + np.max(np.abs(lp.b)))
             )
         assert ok == 100
+
+
+def centred_reference(lp, mu_cutoff):
+    """The same mu schedule as solve_barrier, every stage centred to 1e-8
+    by its own solve_fixed_mu call; returns (solution, total iterations)."""
+    mu, schedule = max(1.0, float(np.abs(lp.c).max())), []
+    while mu > mu_cutoff:
+        schedule.append(mu)
+        mu *= MU_DECREASE
+    schedule.append(mu_cutoff)
+    sol, iters = None, 0
+    for mu in schedule:
+        sol = solve_fixed_mu(lp, mu, warm=sol, tol=1e-8)
+        assert sol.converged
+        iters += sol.iterations
+    return sol, iters
+
+
+def family_relaxations():
+    """Stage-1 and stage-2 relaxations of every family: stage 1 under one
+    instance's parameters, stage 2 at its barrier commitment under the next's."""
+    lps = []
+    for name in ("alloy", "knapsack", "nsp", "stocking", "facility"):
+        spec, prob = build_problem(name, {}, 0.25, seed=1)
+        thetas = [theta for _, theta in dataio.generate(synth_spec_for(spec, m=3, n=4), seed=0).instances]
+        for theta, theta_next in zip(thetas, thetas[1:]):
+            lp1 = relax(instantiate(prob.stage1, theta))
+            x1 = solve_barrier(lp1, 1e-3).x
+            lps += [(f"{name} stage 1", lp1), (f"{name} stage 2", relax(prob.stage2_build(x1, theta_next)))]
+    for seed in range(10):
+        lps.append((f"random {seed}", gen_feasible_lp(RandomLpSpec(d=5, p=2, q=6), seed + 40)[0]))
+    return lps
+
+
+class TestInexactCentering:
+    def test_cutoff_point_matches_fully_centred_path(self):
+        # Loose intermediate stages change the path's iterates but not the
+        # cutoff point, which the final stage centres to tol; and they save
+        # Newton iterations on every LP (the counts are deterministic).
+        for label, lp in family_relaxations():
+            sol = solve_barrier(lp, 1e-3)
+            ref, ref_iters = centred_reference(lp, 1e-3)
+            assert sol.converged, label
+            scale = 1.0 + np.abs(ref.x).max()
+            assert np.abs(sol.x - ref.x).max() <= 1e-6 * scale, label
+            assert sol.iterations < ref_iters, label
+
+    def test_intermediate_stages_are_loose_and_cutoff_is_tight(self, monkeypatch):
+        calls = []
+        real = barrier._newton_core
+
+        def spy(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0=None):
+            calls.append((c.shape[0], mu, tol))
+            return real(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0)
+
+        lp, _ = gen_feasible_lp(RandomLpSpec(d=4, p=1, q=5), 3)
+        monkeypatch.setattr(barrier, "_newton_core", spy)
+        solve_barrier(lp, 1e-4, tol=1e-9)
+        phase1 = [tol for d, _, tol in calls if d == lp.d + 1]  # phase-1 carries one extra variable
+        path = [(mu, tol) for d, mu, tol in calls if d == lp.d]
+        assert phase1 and all(tol == CENTERING_TOL for tol in phase1)
+        assert path[-1] == (1e-4, 1e-9)
+        assert len(path) > 2 and all(tol == CENTERING_TOL for _, tol in path[:-1])
+
+    def test_phase1_still_rejects_empty_interiors(self):
+        # x1 + x2 <= 1 with x1 >= 1 and x2 >= 0.5: infeasible; and a touching
+        # pair (x >= 1, x <= 1) whose only point has no interior.
+        for G, h in (([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-1.0, 1.0, 0.5]), ([[1.0], [-1.0]], [1.0, -1.0])):
+            lp = RelaxedLp(np.ones(len(G[0])), np.zeros((0, len(G[0]))), [], G, h)
+            with pytest.raises(Infeasible):
+                phase1_interior(lp)

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from tspo import two_stage
 from tspo.cli import ExperimentConfig, build_problem, main, run_experiment, validate_dict
+from tspo.errors import SolverFailure
 
 
 def base_config(**overrides):
@@ -111,3 +113,28 @@ class TestRun:
         hist = open(tmp_path / "out" / "history.csv").read().strip().splitlines()
         assert hist[0].startswith("problem,method")
         assert len(hist) == 1 + 2  # epochs 0 and 1
+
+    def test_skipped_steps_column(self, tmp_path, monkeypatch):
+        # Every third surrogate step fails: 2s reports its TrainHistory.skipped,
+        # the other methods (which take no surrogate steps) report 0.
+        real = two_stage.surrogate_loss_grad
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) % 3 == 0:
+                raise SolverFailure("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(two_stage, "surrogate_loss_grad", flaky)
+        cfg_d = base_config(methods=["2s", "ridge", "knn"], runs=2)
+        cfg_d["data"]["synthetic"]["n"] = 10
+        cfg_d["training"] = {"epochs": 2, "lr": 1e-3, "hidden": [4]}
+        out = run_experiment(ExperimentConfig.from_dict(cfg_d), str(tmp_path / "out"), base_seed=0)
+        lines = open(out["detail"]).read().strip().splitlines()
+        assert lines[0].split(",")[-1] == "skipped_steps"
+        skipped = {(r[1], r[3]): int(r[-1]) for r in (line.split(",") for line in lines[1:])}
+        assert skipped[("ridge", "0")] == skipped[("knn", "1")] == 0
+        steps = 2 * 2 * 7  # runs x epochs x training instances
+        assert len(calls) == steps
+        assert skipped[("2s", "0")] + skipped[("2s", "1")] == steps // 3

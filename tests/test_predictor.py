@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tspo import predictor
 from tspo.errors import DimensionMismatch, EmptyTrainSet, SingularSystem, StaleTape
 from tspo.predictor import (
     KnnModel,
@@ -182,26 +183,62 @@ class TestRidge:
         assert ridge_predict(np.array([2.0, -1.0]), np.array([3.0, 4.0])) == 2.0
 
 
+def knn_loop(rows, k, query):
+    """The per-row k-NN prediction: the oracle for the vectorised one."""
+    k = min(int(k), len(rows))
+    feats = np.array([np.asarray(r[0], dtype=float) for r in rows])
+    targets = np.array([float(r[1]) for r in rows])
+    idx = np.argsort(np.linalg.norm(feats - np.asarray(query, dtype=float), axis=1), kind="stable")[:k]
+    return float(np.mean(targets[idx]))
+
+
 class TestKnn:
     def test_exact_training_point(self):
-        rows = [(np.array([0.0, 0.0]), 1.0), (np.array([5.0, 5.0]), 9.0)]
-        assert knn_predict(rows, 1, np.array([0.0, 0.0])) == 1.0
+        feats, targets = np.array([[0.0, 0.0], [5.0, 5.0]]), np.array([1.0, 9.0])
+        assert knn_predict(feats, targets, 1, np.array([0.0, 0.0]))[0] == 1.0
 
     def test_k_equals_n_global_mean(self):
-        rows = [(np.array([float(i)]), float(i)) for i in range(5)]
-        assert knn_predict(rows, 5, np.array([100.0])) == pytest.approx(2.0)
+        feats, targets = np.arange(5.0)[:, None], np.arange(5.0)
+        assert knn_predict(feats, targets, 5, np.array([100.0]))[0] == pytest.approx(2.0)
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(4)
-        rows = [(rng.normal(size=3), float(rng.normal())) for _ in range(30)]
+        feats, targets = rng.normal(size=(30, 3)), rng.normal(size=30)
         q = rng.normal(size=3)
-        d = np.array([np.linalg.norm(f - q) for f, _ in rows])
-        expect = np.mean([rows[i][1] for i in np.argsort(d, kind="stable")[:3]])
-        assert knn_predict(rows, 3, q) == pytest.approx(expect)
+        d = np.array([np.linalg.norm(f - q) for f in feats])
+        expect = np.mean(targets[np.argsort(d, kind="stable")[:3]])
+        assert knn_predict(feats, targets, 3, q)[0] == pytest.approx(expect)
 
     def test_empty(self):
         with pytest.raises(EmptyTrainSet):
-            knn_predict([], 1, np.zeros(2))
+            knn_predict(np.zeros((0, 2)), np.zeros(0), 1, np.zeros(2))
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 20])
+    def test_bit_identical_to_per_row_loop_with_ties(self, monkeypatch, block):
+        # Integer features on a small grid make many distances tie exactly, so
+        # the stable tie order decides which targets are averaged.
+        monkeypatch.setattr(predictor, "KNN_BLOCK", block)
+        rng = np.random.default_rng(12)
+        for trial in range(20):
+            n, m, k = int(rng.integers(1, 40)), int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            feats = rng.integers(-2, 3, size=(n, m)).astype(float)
+            targets = rng.normal(size=n)
+            queries = rng.integers(-2, 3, size=(int(rng.integers(1, 12)), m)).astype(float)
+            if trial % 2:
+                queries += rng.normal(scale=1e-3, size=queries.shape)
+            rows = list(zip(feats, targets))
+            got = knn_predict(feats, targets, k, queries)
+            want = np.array([knn_loop(rows, k, qr) for qr in queries])
+            assert got.tobytes() == want.tobytes()
+
+    def test_model_matches_per_row_loop(self):
+        rng = np.random.default_rng(3)
+        insts = [(rng.integers(0, 3, size=(4, 2)).astype(float), rng.normal(size=4)) for _ in range(9)]
+        rows = [(feat[j], theta[j]) for feat, theta in insts for j in range(len(theta))]
+        model = KnnModel(4).fit(insts)
+        F = rng.integers(0, 3, size=(6, 2)).astype(float)
+        want = np.array([knn_loop(rows, 4, F[j]) for j in range(6)])
+        assert model.predict(F).tobytes() == want.tobytes()
 
 
 class TestModels:

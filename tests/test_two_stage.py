@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from tspo import cli, dataio
+from tspo import cli, dataio, two_stage
 from tspo.errors import CorrectionInfeasible
 from tspo.exact import enumerate_binary, solve_milp_bnb
 from tspo.milp import instantiate
@@ -250,6 +252,36 @@ class TestTrainEvaluate:
             _, hist = train(prob, instances, cfg)
             ratios.append(hist.mean_val_preg[-1] / hist.mean_val_preg[0])
         assert np.median(ratios) <= 0.3, ratios
+
+    def test_nonconverged_solve_skips_step(self, monkeypatch):
+        # Stage 1 reports non-convergence on every fourth step and stage 2 on
+        # the steps two later: each such step is skipped and counted.
+        real1, real2, real_adam = two_stage.stage1_solve, two_stage.stage2_solve, two_stage.adam_step
+        steps, updates = [], []
+
+        def stage1(*args, **kwargs):
+            steps.append(None)
+            sol = real1(*args, **kwargs)
+            return dataclasses.replace(sol, converged=False) if len(steps) % 4 == 1 else sol
+
+        def stage2(*args, **kwargs):
+            sol = real2(*args, **kwargs)
+            return dataclasses.replace(sol, converged=False) if len(steps) % 4 == 3 else sol
+
+        def adam(*args, **kwargs):
+            updates.append(None)
+            return real_adam(*args, **kwargs)
+
+        monkeypatch.setattr(two_stage, "stage1_solve", stage1)
+        monkeypatch.setattr(two_stage, "stage2_solve", stage2)
+        monkeypatch.setattr(two_stage, "adam_step", adam)
+        prob, spec, _ = small_knapsack(0)
+        ds = dataio.generate(synth_spec_for(spec, m=3, n=12), seed=0)
+        cfg = TrainConfig(epochs=2, lr=1e-3, hidden=(4,), seed=1, track_validation=False)
+        _, hist = train(prob, list(ds.instances), cfg)
+        assert len(steps) == 2 * 12
+        assert hist.skipped == 12
+        assert len(updates) == 12
 
     def test_evaluate_perfect_prediction(self):
         prob, spec, theta = small_knapsack(6)
