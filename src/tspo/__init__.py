@@ -5,7 +5,7 @@ relaxation of mixed-integer linear programs and evaluates them by post-hoc
 regret with a penalty-aware second optimization stage.
 """
 
-from .barrier import BarrierSolution, RelaxedLp, phase1_interior, relax, solve_barrier, solve_fixed_mu
+from .barrier import BarrierSolution, phase1_interior, solve_barrier, solve_fixed_mu
 from .exact import ExactSolution, Status, enumerate_binary, solve_lp_exact, solve_milp_bnb
 from .milp import (
     Assignment,
@@ -14,7 +14,6 @@ from .milp import (
     Slot,
     StandardFormMilp,
     check_feasibility,
-    evaluate_objective,
     instantiate,
 )
 
@@ -24,16 +23,13 @@ __all__ = [
     "ExactSolution",
     "FeasibilityReport",
     "ParamTemplate",
-    "RelaxedLp",
     "Slot",
     "StandardFormMilp",
     "Status",
     "check_feasibility",
     "enumerate_binary",
-    "evaluate_objective",
     "instantiate",
     "phase1_interior",
-    "relax",
     "solve_barrier",
     "solve_fixed_mu",
     "solve_lp_exact",

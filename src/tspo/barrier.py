@@ -1,7 +1,8 @@
 """Log-barrier interior-point solver for LP relaxations.
 
-The relaxation of the canonical MILP drops integrality and replaces the
-nonnegativity and slack constraints by logarithmic barrier terms:
+The solvers take a ``StandardFormMilp`` and ignore its ``int_vars``: the
+relaxation drops integrality and replaces the nonnegativity and slack
+constraints by logarithmic barrier terms:
 
     min  c'x - mu * sum_j ln(x_j) - mu * sum_i ln(G_i'x - h_i)
     s.t. Ax = b
@@ -30,7 +31,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import Infeasible, NumericalFailure
-from .milp import Assignment, StandardFormMilp, _as_matrix, _as_vector, _freeze
+from .milp import Assignment, StandardFormMilp
 
 # Geometric mu schedule and interior-point safeguards.
 MU_DECREASE = 0.2
@@ -39,43 +40,6 @@ ITERATE_NORM_LIMIT = 1e8
 NEWTON_REG = 1e-10
 # Scaled-residual tolerance of the path's intermediate stages and of phase-1.
 CENTERING_TOL = 1e-1
-
-
-@dataclass(frozen=True)
-class RelaxedLp:
-    """LP data (integrality dropped) fed to the barrier solver."""
-
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    G: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self):
-        c = _as_vector(self.c, None, "c")
-        d = c.shape[0]
-        A = _as_matrix(self.A, None, d, "A")
-        b = _as_vector(self.b, A.shape[0], "b")
-        G = _as_matrix(self.G, None, d, "G")
-        h = _as_vector(self.h, G.shape[0], "h")
-        _freeze(c, A, b, G, h)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "h", h)
-
-    @property
-    def d(self) -> int:
-        return self.c.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.G.shape[0]
 
 
 @dataclass(frozen=True)
@@ -92,15 +56,6 @@ class BarrierSolution:
     mu: float
     iterations: int
     converged: bool
-
-
-def relax(milp: StandardFormMilp) -> RelaxedLp:
-    """Drop integrality constraints; coefficient blocks are unchanged."""
-    return RelaxedLp(milp.c, milp.A, milp.b, milp.G, milp.h)
-
-
-def _as_lp(problem) -> RelaxedLp:
-    return relax(problem) if isinstance(problem, StandardFormMilp) else problem
 
 
 def chol_lower(a: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -225,14 +180,14 @@ def _newton_core(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0=None):
     return x, y, sbar, max_iter, False
 
 
-def _fold(lp: RelaxedLp) -> tuple[np.ndarray, np.ndarray]:
+def _fold(lp: StandardFormMilp) -> tuple[np.ndarray, np.ndarray]:
     """Append identity rows so the x >= 0 barrier rides along with G."""
     Gbar = np.vstack([lp.G, np.eye(lp.d)]) if lp.q else np.eye(lp.d)
     hbar = np.concatenate([lp.h, np.zeros(lp.d)]) if lp.q else np.zeros(lp.d)
     return Gbar, hbar
 
 
-def _quick_interior(lp: RelaxedLp) -> np.ndarray | None:
+def _quick_interior(lp: StandardFormMilp) -> np.ndarray | None:
     """Cheap candidates that are often strictly interior; None if all fail."""
     scale = 1.0 + (float(np.abs(lp.h).max()) if lp.q else 0.0)
     candidates = [np.full(lp.d, 0.5), np.full(lp.d, 0.1), np.ones(lp.d)]
@@ -248,14 +203,13 @@ def _quick_interior(lp: RelaxedLp) -> np.ndarray | None:
     return None
 
 
-def phase1_interior(lp: RelaxedLp) -> Assignment:
+def phase1_interior(lp: StandardFormMilp) -> Assignment:
     """Find a strictly interior point of {x > 0, Gx > h, Ax = b}.
 
     Minimizes a single infeasibility slack ``t`` added to every barrier
     argument; the region has a strictly interior point iff the optimum is
     negative.  Raises Infeasible otherwise.
     """
-    lp = _as_lp(lp)
     x = _quick_interior(lp)
     if x is not None:
         return x
@@ -301,7 +255,7 @@ def phase1_interior(lp: RelaxedLp) -> Assignment:
 
 
 def solve_fixed_mu(
-    lp: RelaxedLp,
+    lp: StandardFormMilp,
     mu: float,
     warm: BarrierSolution | None = None,
     tol: float = 1e-8,
@@ -310,7 +264,6 @@ def solve_fixed_mu(
     """Solve the relaxation at one fixed barrier weight."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    lp = _as_lp(lp)
     x0 = warm.x if warm is not None else phase1_interior(lp)
     Gbar, hbar = _fold(lp)
     x, y, sbar, iters, converged = _newton_core(lp.c, lp.A, lp.b, Gbar, hbar, mu, x0, tol, max_newton)
@@ -318,7 +271,7 @@ def solve_fixed_mu(
 
 
 def solve_barrier(
-    problem: StandardFormMilp | RelaxedLp,
+    lp: StandardFormMilp,
     mu_cutoff: float,
     tol: float = 1e-8,
     warm: BarrierSolution | None = None,
@@ -332,7 +285,6 @@ def solve_barrier(
     """
     if mu_cutoff <= 0:
         raise ValueError("mu_cutoff must be positive")
-    lp = _as_lp(problem)
     Gbar, hbar = _fold(lp)
 
     if warm is not None and (Gbar @ warm.x - hbar > 0).all():

@@ -212,7 +212,7 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str, base_seed: int = 0, jobs: int = 1) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir: str, base_seed: int = 0) -> dict:
     """Execute the full (method x penalty factor x run) grid; write CSVs."""
     os.makedirs(out_dir, exist_ok=True)
     detail_rows = []
@@ -237,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, base_seed: int = 0, jobs
             for method in cfg.methods:
                 log.info("problem=%s pf=%s run=%d method=%s", cfg.problem, pf, run, method)
                 predict, history = _fit_method(method, problem, train_set, cfg, seed)
-                summary, _ = evaluate(problem, predict, list(test_set), jobs=jobs)
+                summary, _ = evaluate(problem, predict, list(test_set))
                 detail_rows.append(
                     (cfg.problem, method, pf, seed, summary.mean_preg, summary.std_preg,
                      summary.mean_tov, summary.feasibility_fraction, 0 if history is None else history.skipped)
@@ -291,7 +291,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default="results")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--jobs", type=int, default=1)
     p_val = sub.add_parser("validate", help="check a config without running")
     p_val.add_argument("config")
     args = parser.parse_args(argv)
@@ -315,7 +314,7 @@ def main(argv=None) -> int:
         print("config ok")
         return 0
     try:
-        result = run_experiment(cfg, args.out, base_seed=args.seed, jobs=args.jobs)
+        result = run_experiment(cfg, args.out, base_seed=args.seed)
     except TspoError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

@@ -7,12 +7,11 @@ row, with noise and domain clamps matching the target problem family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, SchemaError
-from .predictor import Mlp
 
 MAPPINGS = ("linear", "relu-bump", "sine-mix")
 
@@ -168,32 +167,3 @@ def load_csv(path: str) -> Dataset:
         theta.setflags(write=False)
         instances.append((F, theta))
     return Dataset(tuple(instances), t, m, provenance=f"file:{path}")
-
-
-def save_weights(mlp: Mlp, path: str) -> None:
-    """Checkpoint: layer sizes, then per layer a weight line (row-major) and a bias line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(str(n) for n in mlp.layer_sizes) + "\n")
-        for W, b in zip(mlp.weights, mlp.biases):
-            fh.write(",".join(f"{v:.17g}" for v in W.ravel()) + "\n")
-            fh.write(",".join(f"{v:.17g}" for v in b) + "\n")
-
-
-def load_weights(path: str) -> Mlp:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty checkpoint", line=1)
-    try:
-        sizes = tuple(int(v) for v in lines[0].split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad layer sizes: {exc}", line=1) from exc
-    if len(lines) != 1 + 2 * (len(sizes) - 1):
-        raise SchemaError("checkpoint line count does not match layer sizes")
-    weights, biases = [], []
-    ln = 1
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(_parse_floats(lines[ln], n_in * n_out, ln + 1, "weight").reshape(n_out, n_in))
-        biases.append(_parse_floats(lines[ln + 1], n_out, ln + 2, "bias"))
-        ln += 2
-    return Mlp(sizes, weights, biases)

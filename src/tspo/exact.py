@@ -20,9 +20,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgesv
 
-from .barrier import RelaxedLp, _as_lp, relax
 from .errors import NodeLimitExceeded, TooLarge
-from .milp import StandardFormMilp
+from .milp import StandardFormMilp, check_feasibility
 
 INT_TOL = 1e-6
 # Simplex tolerances, on rows scaled to entries of at most 1.  PIVOT_TOL: the
@@ -71,16 +70,6 @@ class ExactSolution:
     node_count: int = 0
     # Final tableau of an optimal LP solve, to warm-start child LPs.
     tableau: Tableau | None = field(default=None, compare=False, repr=False)
-
-
-def _lp_feasible(lp: RelaxedLp, x: np.ndarray, tol: float) -> bool:
-    if np.min(x, initial=np.inf) < -tol:
-        return False
-    if lp.p and float(np.max(np.abs(lp.A @ x - lp.b))) > tol:
-        return False
-    if lp.q and float(np.min(lp.G @ x - lp.h)) < -tol:
-        return False
-    return True
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
@@ -136,7 +125,7 @@ def _dual(T: np.ndarray, basis: np.ndarray, cost_tol: float) -> bool:
         _pivot(T, basis, r, int(cols[ratios <= ratios.min() + cost_tol][0]))
 
 
-def _root_tableau(lp: RelaxedLp) -> Tableau | None:
+def _root_tableau(lp: StandardFormMilp) -> Tableau | None:
     """Phase 1 from a slack crash basis, then phase-2 reduced costs; None if
     the LP is infeasible."""
     d, p, q = lp.d, lp.p, lp.q
@@ -238,10 +227,11 @@ def _basic_solve(tab: Tableau) -> np.ndarray:
 
 
 def solve_lp_exact(
-    problem: RelaxedLp | StandardFormMilp,
+    lp: StandardFormMilp,
     warm: tuple[Tableau, tuple[int, int, float]] | None = None,
 ) -> ExactSolution:
-    """Exact LP optimum by a dense tableau simplex.
+    """Exact optimum of the LP relaxation of ``lp`` (its ``int_vars`` are
+    ignored) by a dense tableau simplex.
 
     The LP is put in equality form [A 0; G -I][x; s] = [b; h] with slacks
     s >= 0, each row scaled down to entries of at most 1 and signed so that
@@ -253,7 +243,7 @@ def solve_lp_exact(
     pivoted out, or their row is dropped as redundant.  Phase 2 then
     minimises c'x from that basis.
 
-    With ``warm=(tableau, (j, sense, v))`` the LP is ``problem`` plus the
+    With ``warm=(tableau, (j, sense, v))`` the LP is ``lp`` plus the
     bound rows of ``tableau`` plus one more, x_j >= v (sense +1) or
     x_j <= v (sense -1), where ``tableau`` is the final state of the LP
     without the new row and x_j is basic in it.  The new row is added with
@@ -263,7 +253,6 @@ def solve_lp_exact(
     basis matrix, so the tableau's rounding drift never reaches x, and an
     optimal solution carries its final tableau for warm starts.
     """
-    lp = _as_lp(problem)
     cost_tol = COST_TOL * (1.0 + float(np.max(np.abs(lp.c), initial=0.0)))
     tab = _root_tableau(lp) if warm is None else _child_tableau(*warm, cost_tol)
     if tab is None:
@@ -301,10 +290,9 @@ def solve_milp_bnb(
     incumbents are found depends on the LP vertices along the search, so
     with tied optima this need not be the lexicographically smallest optimum.
     """
-    base = relax(milp)
     int_idx = np.array(sorted(milp.int_vars), dtype=int)
     if int_idx.size == 0:
-        lp_sol = solve_lp_exact(base)
+        lp_sol = solve_lp_exact(milp)
         # Solutions get cached (true optima); they should not hold a tableau.
         return replace(lp_sol, node_count=1, tableau=None)
 
@@ -319,7 +307,7 @@ def solve_milp_bnb(
         nonlocal inc_x, inc_obj
         cand = x.copy()
         cand[int_idx] = np.round(cand[int_idx])
-        if not _lp_feasible(base, cand, 1e-9 * (1.0 + float(np.max(np.abs(cand))))):
+        if not check_feasibility(milp, cand, 1e-9 * (1.0 + float(np.max(np.abs(cand))))).feasible:
             return
         obj = float(milp.c @ cand)
         if obj < inc_obj - 1e-9 or inc_x is None:
@@ -334,7 +322,7 @@ def solve_milp_bnb(
         if nodes >= node_limit:
             raise NodeLimitExceeded(f"branch and bound exceeded {node_limit} nodes")
         nodes += 1
-        sol = solve_lp_exact(base, warm)
+        sol = solve_lp_exact(milp, warm)
         if sol.status is Status.INFEASIBLE:
             if log is not None:
                 log.append({"bound": np.inf, "incumbent": inc_obj, "integral": False})

@@ -6,10 +6,13 @@ minimization form:
     min c'x  s.t.  Ax = b,  Gx >= h,  x >= 0,  x_j integer for j in int_vars
 
 Maximization problems are stored with a negated objective, and the sign is
-flipped back only when results are reported.  A ``ParamTemplate`` is a MILP
-skeleton plus affine slots mapping a parameter vector into entries of the
-coefficient blocks, which is how unknown-parameter problems are represented
-before prediction.
+flipped back only when results are reported.  There is no separate LP type:
+the LP solvers (``barrier``, ``exact.solve_lp_exact``) and ``kkt`` read the
+same ``StandardFormMilp`` and ignore its ``int_vars``.
+
+A ``ParamTemplate`` is a MILP skeleton plus affine slots mapping a parameter
+vector into entries of the coefficient blocks, which is how
+unknown-parameter problems are represented before prediction.
 """
 
 from __future__ import annotations
@@ -159,11 +162,6 @@ def backprop_slots(template: ParamTemplate, block_grads: dict[str, np.ndarray]) 
         if g is not None:
             out[s.theta_index] += s.scale * g[s.index]
     return out
-
-
-def evaluate_objective(milp: StandardFormMilp, x: Assignment) -> float:
-    x = _as_vector(x, milp.d, "x")
-    return float(milp.c @ x)
 
 
 @dataclass(frozen=True)

@@ -158,10 +158,6 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
         raise SingularSystem(f"normal equations singular (lam={lam}): {exc}") from exc
 
 
-def ridge_predict(weights: np.ndarray, x: np.ndarray) -> float:
-    return float(np.asarray(x, dtype=float) @ weights)
-
-
 def knn_predict(feats: np.ndarray, targets: np.ndarray, k: int, queries: np.ndarray) -> np.ndarray:
     """Mean target of the k nearest training rows, for every query row at once.
 

@@ -12,9 +12,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .barrier import RelaxedLp
 from .errors import TooLarge
 from .exact import ExactSolution, Status
+from .milp import StandardFormMilp
 
 FD_STEP = 1e-5  # single source of truth for all finite-difference checks
 
@@ -28,7 +28,7 @@ class RandomLpSpec:
     margin: float = 0.1
 
 
-def gen_feasible_lp(spec: RandomLpSpec, seed: int) -> tuple[RelaxedLp, np.ndarray]:
+def gen_feasible_lp(spec: RandomLpSpec, seed: int) -> tuple[StandardFormMilp, np.ndarray]:
     """Random LP with a known strictly interior witness.
 
     Samples x0 > 0 first, then sets b = A x0 and h <= G x0 - margin so x0 is
@@ -41,7 +41,7 @@ def gen_feasible_lp(spec: RandomLpSpec, seed: int) -> tuple[RelaxedLp, np.ndarra
     G = rng.uniform(-spec.coeff_scale, spec.coeff_scale, size=(spec.q, spec.d))
     h = G @ x0 - rng.uniform(spec.margin, 1.0, size=spec.q)
     c = rng.uniform(0.2, 2.0, size=spec.d)  # positive costs keep the LP bounded below
-    return RelaxedLp(c, A, b, G, h), x0
+    return StandardFormMilp(c, A, b, G, h), x0
 
 
 def fd_mixed_error(J: np.ndarray, analytic: np.ndarray, floor: float = 1e-3) -> float:
@@ -71,7 +71,7 @@ def finite_diff_jacobian(f, x0: np.ndarray, step: float = FD_STEP) -> np.ndarray
     return np.stack(cols, axis=-1)
 
 
-def _feasible(lp: RelaxedLp, x: np.ndarray, tol: float) -> bool:
+def _feasible(lp: StandardFormMilp, x: np.ndarray, tol: float) -> bool:
     if np.min(x, initial=np.inf) < -tol:
         return False
     if lp.p and np.max(np.abs(lp.A @ x - lp.b)) > tol:
@@ -93,7 +93,7 @@ def _best_vertex(c, A, b, G, h, tol):
     need = d - p
     if need < 0:
         need = 0
-    lp = RelaxedLp(c, A, b, G, h)
+    lp = StandardFormMilp(c, A, b, G, h)
     best_x, best_obj = None, np.inf
     for combo in combinations(ineq_ids, need):
         act = list(range(p)) + list(combo)
@@ -113,7 +113,7 @@ def _best_vertex(c, A, b, G, h, tol):
     return best_x, best_obj
 
 
-def vertex_enumerate_lp(lp: RelaxedLp) -> ExactSolution:
+def vertex_enumerate_lp(lp: StandardFormMilp) -> ExactSolution:
     """Exact LP optimum by enumerating all basic feasible solutions.
 
     Checks for a descent ray over the recession cone before declaring a

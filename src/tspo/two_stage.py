@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import kkt
-from .barrier import BarrierSolution, relax, solve_barrier
+from .barrier import solve_barrier
 from .errors import (
     CorrectionInfeasible,
     Infeasible,
@@ -208,16 +208,15 @@ def surrogate_loss_grad(
     sol1, sol2 = _surrogate_stages(problem, theta_hat, theta, mu_cutoff)
 
     milp2 = problem.stage2_build(sol1.x, theta)
-    lp2 = relax(milp2)
     t2 = problem.stage2_template(theta)
     u2 = np.asarray(problem.dPReg_dx2(sol1.x, sol2.x, theta), dtype=float)
     try:
-        vjps2 = kkt.vjp(lp2, sol2, u2, blocks=problem.dx2_slots)
+        vjps2 = kkt.vjp(milp2, sol2, u2, blocks=problem.dx2_slots)
         via_stage2 = backprop_slots(t2, vjps2)  # d(regret)/d(x1) through stage 2
         u1 = via_stage2 + np.asarray(problem.dPReg_dx1(sol1.x, sol2.x, theta), dtype=float)
 
         milp1 = instantiate(problem.stage1, theta_hat)
-        vjps1 = kkt.vjp(relax(milp1), sol1, u1, blocks=problem.dx1_slots)
+        vjps1 = kkt.vjp(milp1, sol1, u1, blocks=problem.dx1_slots)
     except (NumericalFailure, SingularSystem, NotInterior) as exc:
         raise SolverFailure(f"{problem.name}: gradient assembly failed: {exc}") from exc
     dtheta = backprop_slots(problem.stage1, vjps1)
@@ -288,27 +287,17 @@ class EvalSummary:
     n: int
 
 
-def evaluate(problem: TwoStageProblem, predict, instances, jobs: int = 1) -> tuple[EvalSummary, list[RegretReport]]:
+def evaluate(problem: TwoStageProblem, predict, instances) -> tuple[EvalSummary, list[RegretReport]]:
     """Exact two-stage evaluation of any predictor over a test set.
 
     ``predict`` is called as predict(features, theta); fitted models ignore
     the second argument.  Reported TOV is in the problem's natural sense
     (sign flipped back for maximization benchmarks).
     """
-    items = list(enumerate(instances))
-
-    def one(item):
-        _, (features, theta) = item
-        theta_hat = np.asarray(predict(features, theta), dtype=float)
-        return post_hoc_regret(problem, theta_hat, theta)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(one, items))
-    else:
-        reports = [one(item) for item in items]
+    reports = [
+        post_hoc_regret(problem, np.asarray(predict(features, theta), dtype=float), theta)
+        for features, theta in instances
+    ]
     pregs = np.array([r.preg for r in reports])
     tovs = np.array([r.true_opt for r in reports])
     if problem.maximization:

@@ -1,24 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from tspo import barrier, dataio
+from tspo import barrier, dataio, kkt
 from tspo.barrier import (
     CENTERING_TOL,
     MU_DECREASE,
     NEWTON_REG,
     BarrierSolution,
-    RelaxedLp,
     _chol_with_reg,
     chol_lower,
     chol_solve,
     phase1_interior,
-    relax,
     solve_barrier,
     solve_fixed_mu,
 )
 from tspo.errors import Infeasible, NumericalFailure
 from tspo.cli import build_problem
+from tspo.exact import enumerate_binary, solve_lp_exact
 from tspo.milp import StandardFormMilp, instantiate
 from tspo.problems import synth_spec_for
 from tspo.testutil import RandomLpSpec, gen_feasible_lp, vertex_enumerate_lp
@@ -35,27 +36,35 @@ def bisect(fn, lo, hi, iters=200):
 
 
 class TestRelax:
-    def test_drops_int_vars_only(self):
-        m = StandardFormMilp(c=[1.0], A=np.zeros((0, 1)), b=[], G=[[1.0]], h=[0.0], int_vars=frozenset({0}))
-        lp = relax(m)
-        assert np.array_equal(lp.c, m.c) and np.array_equal(lp.G, m.G)
-
-    def test_no_int_vars_identity(self):
-        m = StandardFormMilp(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0], G=np.zeros((0, 2)), h=[])
-        lp = relax(m)
-        assert np.array_equal(lp.A, m.A) and np.array_equal(lp.b, m.b)
+    @pytest.mark.parametrize("name", ["knapsack", "nsp"])
+    def test_int_vars_ignored_bitwise(self, name):
+        # The LP paths read c, A, b, G, h of a StandardFormMilp and nothing
+        # else: dropping int_vars must not change a single bit.
+        spec, prob = build_problem(name, {}, 0.25, seed=1)
+        theta = dataio.generate(synth_spec_for(spec, m=3, n=1), seed=0).instances[0][1]
+        milp = instantiate(prob.stage1, theta)
+        lp = dataclasses.replace(milp, int_vars=frozenset())
+        assert milp.int_vars and not lp.int_vars
+        blocks = ("c", "h", "G") + (("b", "A") if milp.p else ())
+        u = np.random.default_rng(0).normal(size=milp.d)
+        results = []
+        for m in (milp, lp):
+            sol = solve_barrier(m, 1e-3)
+            grads = kkt.vjp(m, sol, u, blocks=blocks)
+            ex = solve_lp_exact(m)
+            arrays = [phase1_interior(m), sol.x, sol.s, sol.y, ex.x, np.array([ex.objective])]
+            results.append([a.tobytes() for a in arrays + [grads[k] for k in blocks]] + [sol.iterations, ex.status])
+        assert results[0] == results[1]
 
     def test_relaxation_bounds_integer_optimum(self):
         # LP relaxation objective is a lower bound for the negated knapsack
-        from tspo.exact import enumerate_binary, solve_lp_exact
-
         rng = np.random.default_rng(7)
         f, s = rng.uniform(1, 10, 5), rng.uniform(1, 6, 5)
         m = StandardFormMilp(c=-f, A=np.zeros((0, 5)), b=[],
                              G=np.vstack([-s[None, :], -np.eye(5)]),
                              h=np.concatenate([[-8.0], -np.ones(5)]),
                              int_vars=frozenset(range(5)))
-        lp_obj = solve_lp_exact(relax(m)).objective
+        lp_obj = solve_lp_exact(m).objective
         int_obj = enumerate_binary(m).objective
         assert lp_obj <= int_obj + 1e-9
 
@@ -102,7 +111,7 @@ class TestFixedMu:
     def test_scalar_stationarity_root(self):
         # min x s.t. x >= 1 at mu=0.01: root of 1 - mu/x - mu/(x-1) beyond 1
         mu = 0.01
-        lp = RelaxedLp([1.0], np.zeros((0, 1)), [], [[1.0]], [1.0])
+        lp = StandardFormMilp([1.0], np.zeros((0, 1)), [], [[1.0]], [1.0])
         sol = solve_fixed_mu(lp, mu, tol=1e-12)
         root = bisect(lambda x: 1 - mu / x - mu / (x - 1), 1.0 + 1e-12, 3.0)
         assert sol.x[0] == pytest.approx(root, rel=1e-8)
@@ -110,19 +119,19 @@ class TestFixedMu:
 
     def test_divergence_guard_on_zero_cost(self):
         # min 0*x with only x >= 1: the barrier rewards x -> inf; guard must trip
-        lp = RelaxedLp([0.0], np.zeros((0, 1)), [], [[1.0]], [1.0])
+        lp = StandardFormMilp([0.0], np.zeros((0, 1)), [], [[1.0]], [1.0])
         with pytest.raises(NumericalFailure, match="unbounded"):
             solve_fixed_mu(lp, 1.0, tol=1e-12, max_newton=500)
 
     def test_bounded_variant_hits_analytic_center(self):
         # adding a box x <= 3 makes the mu=1 problem the analytic center of [1, 3]
-        lp = RelaxedLp([0.0], np.zeros((0, 1)), [], [[1.0], [-1.0]], [1.0, -3.0])
+        lp = StandardFormMilp([0.0], np.zeros((0, 1)), [], [[1.0], [-1.0]], [1.0, -3.0])
         sol = solve_fixed_mu(lp, 1.0, tol=1e-12)
         root = bisect(lambda x: 1 / x + 1 / (x - 1) - 1 / (3 - x), 1.0 + 1e-9, 3.0 - 1e-9)
         assert sol.x[0] == pytest.approx(root, rel=1e-8)
 
     def test_equality_symmetry(self):
-        lp = RelaxedLp([1.0, 1.0], [[1.0, 1.0]], [2.0], np.zeros((0, 2)), [])
+        lp = StandardFormMilp([1.0, 1.0], [[1.0, 1.0]], [2.0], np.zeros((0, 2)), [])
         sol = solve_fixed_mu(lp, 0.5, tol=1e-12)
         assert sol.x[0] == pytest.approx(sol.x[1], abs=1e-9)
         assert sol.x.sum() == pytest.approx(2.0, abs=1e-9)
@@ -134,7 +143,7 @@ class TestSolveBarrier:
         sol = solve_barrier(m, 1e-6)
         assert sol.converged
         assert np.allclose(sol.x, [1.0, 0.0], atol=1e-4)
-        oracle = vertex_enumerate_lp(relax(m))
+        oracle = vertex_enumerate_lp(m)
         assert float(m.c @ sol.x) == pytest.approx(oracle.objective, abs=1e-4)
 
     def test_objective_improves_with_smaller_cutoff(self):
@@ -191,12 +200,12 @@ class TestSolveBarrier:
 
 class TestPhase1:
     def test_simple_membership(self):
-        lp = RelaxedLp([1.0], np.zeros((0, 1)), [], [[1.0]], [1.0])
+        lp = StandardFormMilp([1.0], np.zeros((0, 1)), [], [[1.0]], [1.0])
         x = phase1_interior(lp)
         assert x[0] > 1.0
 
     def test_simplex_membership(self):
-        lp = RelaxedLp([0.0, 0.0], [[1.0, 1.0]], [1.0], np.zeros((0, 2)), [])
+        lp = StandardFormMilp([0.0, 0.0], [[1.0, 1.0]], [1.0], np.zeros((0, 2)), [])
         x = phase1_interior(lp)
         assert np.all(x > 0) and x.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -237,9 +246,9 @@ def family_relaxations():
         spec, prob = build_problem(name, {}, 0.25, seed=1)
         thetas = [theta for _, theta in dataio.generate(synth_spec_for(spec, m=3, n=4), seed=0).instances]
         for theta, theta_next in zip(thetas, thetas[1:]):
-            lp1 = relax(instantiate(prob.stage1, theta))
+            lp1 = instantiate(prob.stage1, theta)
             x1 = solve_barrier(lp1, 1e-3).x
-            lps += [(f"{name} stage 1", lp1), (f"{name} stage 2", relax(prob.stage2_build(x1, theta_next)))]
+            lps += [(f"{name} stage 1", lp1), (f"{name} stage 2", prob.stage2_build(x1, theta_next))]
     for seed in range(10):
         lps.append((f"random {seed}", gen_feasible_lp(RandomLpSpec(d=5, p=2, q=6), seed + 40)[0]))
     return lps
@@ -279,6 +288,6 @@ class TestInexactCentering:
         # x1 + x2 <= 1 with x1 >= 1 and x2 >= 0.5: infeasible; and a touching
         # pair (x >= 1, x <= 1) whose only point has no interior.
         for G, h in (([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-1.0, 1.0, 0.5]), ([[1.0], [-1.0]], [1.0, -1.0])):
-            lp = RelaxedLp(np.ones(len(G[0])), np.zeros((0, len(G[0]))), [], G, h)
+            lp = StandardFormMilp(np.ones(len(G[0])), np.zeros((0, len(G[0]))), [], G, h)
             with pytest.raises(Infeasible):
                 phase1_interior(lp)

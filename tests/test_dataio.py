@@ -7,13 +7,11 @@ from tspo.dataio import (
     SynthSpec,
     generate,
     load_csv,
-    load_weights,
     save_csv,
-    save_weights,
     split,
 )
 from tspo.errors import ParseError, SchemaError
-from tspo.predictor import forward, init_mlp, ridge_fit
+from tspo.predictor import ridge_fit
 
 
 class TestGenerate:
@@ -106,20 +104,3 @@ class TestSplit:
         got = {id(f) for f, _ in tr.instances} | {id(f) for f, _ in te.instances}
         assert len(tr) + len(te) == 21
         assert got == ids
-
-
-class TestWeightCheckpoints:
-    def test_round_trip(self, tmp_path):
-        net = init_mlp((3, 5, 1), seed=2)
-        path = str(tmp_path / "w.txt")
-        save_weights(net, path)
-        back = load_weights(path)
-        assert back.layer_sizes == net.layer_sizes
-        X = np.random.default_rng(0).normal(size=(4, 3))
-        assert np.max(np.abs(forward(net, X)[0] - forward(back, X)[0])) <= 1e-12
-
-    def test_truncated_checkpoint(self, tmp_path):
-        path = tmp_path / "w.txt"
-        path.write_text("3,5,1\n1.0,2.0\n")
-        with pytest.raises(SchemaError):
-            load_weights(str(path))

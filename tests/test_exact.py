@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tspo import exact
-from tspo.barrier import RelaxedLp, relax
 from tspo.cli import build_problem
 from tspo.dataio import generate
 from tspo.errors import NodeLimitExceeded, TooLarge
@@ -36,19 +35,19 @@ def lp_with_known_optimum(seed, p, q, d=30, scale=1e3):
     active = rng.random(q) < 0.4
     h = G @ x - np.where(active, 0.0, rng.uniform(0.1, 1.0, q))
     c = A.T @ rng.normal(size=p + 1) + G.T @ (active * rng.uniform(0.0, 1.0, q)) + (x == 0) * rng.uniform(0.0, 1.0, d)
-    return RelaxedLp(c, scale * A, scale * (A @ x), scale * G, scale * h), float(c @ x)
+    return StandardFormMilp(c, scale * A, scale * (A @ x), scale * G, scale * h), float(c @ x)
 
 
 class TestSolveLpExact:
     def test_hand_lp(self):
-        lp = RelaxedLp([2.0, 3.0], np.zeros((0, 2)), [], [[1.0, 1.0]], [1.0])
+        lp = StandardFormMilp([2.0, 3.0], np.zeros((0, 2)), [], [[1.0, 1.0]], [1.0])
         sol = solve_lp_exact(lp)
         assert sol.status is Status.OPTIMAL
         assert np.allclose(sol.x, [1.0, 0.0], atol=1e-6)
         assert sol.objective == pytest.approx(2.0, abs=1e-8)
 
     def test_degenerate_tie_objective_only(self):
-        lp = RelaxedLp([1.0, 1.0], np.zeros((0, 2)), [], [[1.0, 1.0]], [1.0])
+        lp = StandardFormMilp([1.0, 1.0], np.zeros((0, 2)), [], [[1.0, 1.0]], [1.0])
         sol = solve_lp_exact(lp)
         assert sol.objective == pytest.approx(1.0, abs=1e-8)
 
@@ -57,7 +56,7 @@ class TestSolveLpExact:
         # Equalities only (q=0).  In the hand LP the one basic solution with a
         # negative entry, x = (-0.5, 0), beats the optimum x = (0, 0.5).
         lps += [gen_feasible_lp(RandomLpSpec(d=4, p=2, q=0), seed)[0] for seed in range(10)]
-        lps.append(RelaxedLp([1.0, 0.0], [[1.0, -1.0]], [-0.5], np.zeros((0, 2)), []))
+        lps.append(StandardFormMilp([1.0, 0.0], [[1.0, -1.0]], [-0.5], np.zeros((0, 2)), []))
         for lp in lps:
             a = solve_lp_exact(lp)
             b = vertex_enumerate_lp(lp)
@@ -78,13 +77,12 @@ class TestSolveLpExact:
         for seed in range(10):
             lp, _ = gen_feasible_lp(RandomLpSpec(d=4, p=2, q=4), seed + 40)
             sol = solve_lp_exact(lp)
-            m = StandardFormMilp(lp.c, lp.A, lp.b, lp.G, lp.h)
-            assert check_feasibility(m, sol.x, tol=1e-6).feasible
+            assert check_feasibility(lp, sol.x, tol=1e-6).feasible
 
     def test_infeasible_and_unbounded(self):
-        bad = RelaxedLp([1.0], np.zeros((0, 1)), [], [[1.0], [-1.0]], [1.0, 0.0])
+        bad = StandardFormMilp([1.0], np.zeros((0, 1)), [], [[1.0], [-1.0]], [1.0, 0.0])
         assert solve_lp_exact(bad).status is Status.INFEASIBLE
-        ub = RelaxedLp([-1.0], np.zeros((0, 1)), [], [[1.0]], [1.0])
+        ub = StandardFormMilp([-1.0], np.zeros((0, 1)), [], [[1.0]], [1.0])
         assert solve_lp_exact(ub).status is Status.UNBOUNDED
 
     def test_warm_child_matches_vertex_enumeration(self):
@@ -104,19 +102,18 @@ class TestSolveLpExact:
                 sol = solve_lp_exact(lp, (sol.tableau, (j, sense, v)))
                 rows.append(sense * np.eye(lp.d)[j])
                 rhs.append(sense * v)
-                bounded = RelaxedLp(lp.c, lp.A, lp.b, np.vstack([lp.G, rows]), np.concatenate([lp.h, rhs]))
+                bounded = StandardFormMilp(lp.c, lp.A, lp.b, np.vstack([lp.G, rows]), np.concatenate([lp.h, rhs]))
                 ref = vertex_enumerate_lp(bounded)
                 assert sol.status is ref.status, (seed, depth)
                 if ref.status is Status.OPTIMAL:
                     assert sol.objective == pytest.approx(ref.objective, abs=1e-6), (seed, depth)
-                    m = StandardFormMilp(bounded.c, bounded.A, bounded.b, bounded.G, bounded.h)
-                    assert check_feasibility(m, sol.x, tol=1e-6).feasible
+                    assert check_feasibility(bounded, sol.x, tol=1e-6).feasible
                 checked += 1
         assert checked >= 40
 
     def test_fixed_variables(self):
         # x0 pinned to 0 by opposing singleton rows; x1 pinned to 1
-        lp = RelaxedLp(
+        lp = StandardFormMilp(
             [1.0, -2.0, 1.0],
             np.zeros((0, 3)),
             [],
@@ -178,7 +175,7 @@ class TestBranchAndBound:
         for seed in range(10):
             rng = np.random.default_rng(seed + 100)
             m = knapsack_milp(rng.uniform(1, 20, 6), rng.uniform(1, 15, 6), 25.0)
-            lp_obj = solve_lp_exact(relax(m)).objective
+            lp_obj = solve_lp_exact(m).objective
             milp_obj = solve_milp_bnb(m).objective
             assert lp_obj <= milp_obj + 1e-9
 

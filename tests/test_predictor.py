@@ -17,7 +17,6 @@ from tspo.predictor import (
     init_mlp,
     knn_predict,
     ridge_fit,
-    ridge_predict,
     train_mse,
 )
 
@@ -178,9 +177,6 @@ class TestRidge:
         X = np.array([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(SingularSystem):
             ridge_fit(X, np.array([1.0, 2.0]), lam=0.0)
-
-    def test_predict(self):
-        assert ridge_predict(np.array([2.0, -1.0]), np.array([3.0, 4.0])) == 2.0
 
 
 def knn_loop(rows, k, query):

@@ -297,7 +297,7 @@ class TestTrainEvaluate:
         synth = synth_spec_for(spec, m=3, n=12)
         ds = dataio.generate(synth, seed=5)
         model = MlpModel(init_mlp((3, 4, 1), seed=0))
-        summary, reports = evaluate(prob, as_predict_fn(model), list(ds.instances), jobs=2)
+        summary, reports = evaluate(prob, as_predict_fn(model), list(ds.instances))
         assert len(reports) == 12
         assert summary.mean_preg >= -1e-9
 
