@@ -279,27 +279,37 @@ def solve_barrier(
     """Follow the decreasing-mu path and return the solution at the cutoff.
 
     The final stage is solved at ``mu_cutoff`` itself to ``tol``, the
-    stages before it only to ``CENTERING_TOL``.  A ``warm`` solution
-    (e.g. from a nearby problem) skips phase-1 and the schedule and solves
-    the cutoff stage directly.
+    stages before it only to ``CENTERING_TOL``.  A ``warm`` solution, such
+    as the cutoff point of a nearby problem or of the same training instance
+    one epoch earlier, skips phase-1 and the schedule when its x is strictly
+    interior for ``lp``: it is centred at the cutoff directly.  The cutoff
+    point is unique, so the warm and cold solves agree to ``tol``.  When the
+    warm point is not interior, or its solve raises NumericalFailure or does
+    not converge, the result is that of the cold solve, bit for bit.
     """
     if mu_cutoff <= 0:
         raise ValueError("mu_cutoff must be positive")
     Gbar, hbar = _fold(lp)
-
     if warm is not None and (Gbar @ warm.x - hbar > 0).all():
-        x0 = warm.x
-        schedule = [mu_cutoff]
-    else:
-        x0 = phase1_interior(lp)
-        mu0 = max(1.0, float(np.abs(lp.c).max()) if lp.d else 1.0)
-        schedule = []
-        mu = mu0
-        while mu > mu_cutoff:
-            schedule.append(mu)
-            mu *= MU_DECREASE
-        schedule.append(mu_cutoff)
+        try:
+            sol = _follow_path(lp, Gbar, hbar, warm.x, [mu_cutoff], tol)
+            if sol.converged:
+                return sol
+        except NumericalFailure:
+            pass
+    mu0 = max(1.0, float(np.abs(lp.c).max()) if lp.d else 1.0)
+    schedule = []
+    mu = mu0
+    while mu > mu_cutoff:
+        schedule.append(mu)
+        mu *= MU_DECREASE
+    schedule.append(mu_cutoff)
+    return _follow_path(lp, Gbar, hbar, phase1_interior(lp), schedule, tol)
 
+
+def _follow_path(lp, Gbar, hbar, x0, schedule, tol) -> BarrierSolution:
+    """Centre at each mu of ``schedule`` in turn from ``x0``: loosely, except
+    the last stage, which is solved to ``tol``."""
     x = x0
     y = np.zeros(lp.p)
     sbar = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -100,6 +101,9 @@ def validate_dict(raw: dict) -> list[str]:
                     errors.append(f"data.synthetic.{key}: positive integer required")
             if "mapping" in syn and syn["mapping"] not in dataio.MAPPINGS:
                 errors.append(f"data.synthetic.mapping: must be one of {dataio.MAPPINGS}")
+            noise = syn.get("noise_std", 0.0)
+            if isinstance(noise, bool) or not isinstance(noise, (int, float)) or not 0 <= noise < math.inf:
+                errors.append(f"data.synthetic.noise_std: nonnegative number required, got {noise!r}")
         if not isinstance(data.get("seed", 0), int):
             errors.append("data.seed: integer required")
     else:

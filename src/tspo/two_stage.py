@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import kkt
-from .barrier import solve_barrier
+from .barrier import BarrierSolution, solve_barrier
 from .errors import (
     CorrectionInfeasible,
     Infeasible,
@@ -108,11 +108,18 @@ def true_optimum(problem: TwoStageProblem, theta: np.ndarray) -> ExactSolution:
     return sol
 
 
-def stage1_solve(problem: TwoStageProblem, theta_hat: np.ndarray, mode: str = "exact", mu_cutoff: float = 1e-3):
+def stage1_solve(
+    problem: TwoStageProblem,
+    theta_hat: np.ndarray,
+    mode: str = "exact",
+    mu_cutoff: float = 1e-3,
+    warm: BarrierSolution | None = None,
+):
     """Solve Stage 1 under estimated parameters.
 
     ``exact`` returns the MILP optimum; ``barrier`` returns the interior
-    solution of the relaxation at the cutoff (the training surrogate).
+    solution of the relaxation at the cutoff (the training surrogate),
+    started from ``warm`` when it is interior (see ``solve_barrier``).
     """
     milp = instantiate(problem.stage1, theta_hat)
     if mode == "exact":
@@ -121,12 +128,20 @@ def stage1_solve(problem: TwoStageProblem, theta_hat: np.ndarray, mode: str = "e
             raise Infeasible(f"{problem.name}: stage 1 {sol.status.value} under estimated parameters")
         return sol
     if mode == "barrier":
-        return solve_barrier(milp, mu_cutoff)
+        return solve_barrier(milp, mu_cutoff, warm=warm)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def stage2_solve(problem: TwoStageProblem, x1: np.ndarray, theta: np.ndarray, mode: str = "exact", mu_cutoff: float = 1e-3):
-    """Solve the penalty-augmented Stage 2 under true parameters."""
+def stage2_solve(
+    problem: TwoStageProblem,
+    x1: np.ndarray,
+    theta: np.ndarray,
+    mode: str = "exact",
+    mu_cutoff: float = 1e-3,
+    warm: BarrierSolution | None = None,
+):
+    """Solve the penalty-augmented Stage 2 under true parameters; ``warm``
+    as in ``stage1_solve``."""
     milp = problem.stage2_build(np.asarray(x1, dtype=float), theta)
     if mode == "exact":
         sol = solve_milp_bnb(milp)
@@ -134,7 +149,7 @@ def stage2_solve(problem: TwoStageProblem, x1: np.ndarray, theta: np.ndarray, mo
             raise Infeasible(f"{problem.name}: stage 2 {sol.status.value}; benchmark should be feasible by construction")
         return sol
     if mode == "barrier":
-        return solve_barrier(milp, mu_cutoff)
+        return solve_barrier(milp, mu_cutoff, warm=warm)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -158,15 +173,15 @@ def post_hoc_regret(problem: TwoStageProblem, theta_hat: np.ndarray, theta: np.n
     )
 
 
-def _surrogate_stages(problem, theta_hat, theta, mu_cutoff):
-    """Both relaxed stages at the cutoff.  A failed or non-converged solve
-    raises SolverFailure: its point is not the stationary one the KKT
-    gradient assumes, so training skips the step."""
+def _surrogate_stages(problem, theta_hat, theta, mu_cutoff, warm=(None, None)):
+    """Both relaxed stages at the cutoff, started from the ``warm`` pair.  A
+    failed or non-converged solve raises SolverFailure: its point is not the
+    stationary one the KKT gradient assumes, so training skips the step."""
     try:
-        sol1 = stage1_solve(problem, theta_hat, mode="barrier", mu_cutoff=mu_cutoff)
+        sol1 = stage1_solve(problem, theta_hat, mode="barrier", mu_cutoff=mu_cutoff, warm=warm[0])
         if not sol1.converged:
             raise NumericalFailure("stage 1 did not converge")
-        sol2 = stage2_solve(problem, sol1.x, theta, mode="barrier", mu_cutoff=mu_cutoff)
+        sol2 = stage2_solve(problem, sol1.x, theta, mode="barrier", mu_cutoff=mu_cutoff, warm=warm[1])
         if not sol2.converged:
             raise NumericalFailure("stage 2 did not converge")
     except (Infeasible, NumericalFailure, SingularSystem) as exc:
@@ -196,6 +211,7 @@ def surrogate_loss_grad(
     features: np.ndarray,
     theta: np.ndarray,
     mu_cutoff: float = 1e-3,
+    warm: list | None = None,
 ):
     """Weight gradient of the relaxed regret via both KKT Jacobians.
 
@@ -203,12 +219,20 @@ def surrogate_loss_grad(
     Stage-2 solution map (commitment slots), added to the direct regret
     derivative in the commitment, pulled through the Stage-1 solution map
     (parameter slots), and finally through the network.
+
+    ``warm``, when given, is a two-item list of the Stage-1 and Stage-2
+    ``BarrierSolution`` to start from (None starts cold).  Once both stages
+    have converged it is overwritten in place with their solutions, so a
+    caller that keeps one list per instance warm-starts that instance's
+    next step.
     """
     theta_hat, tape = forward(net, features)
-    sol1, sol2 = _surrogate_stages(problem, theta_hat, theta, mu_cutoff)
+    sol1, sol2 = _surrogate_stages(problem, theta_hat, theta, mu_cutoff, warm or (None, None))
+    if warm is not None:
+        warm[:] = (sol1, sol2)
 
-    milp2 = problem.stage2_build(sol1.x, theta)
     t2 = problem.stage2_template(theta)
+    milp2 = instantiate(t2, sol1.x)
     u2 = np.asarray(problem.dPReg_dx2(sol1.x, sol2.x, theta), dtype=float)
     try:
         vjps2 = kkt.vjp(milp2, sol2, u2, blocks=problem.dx2_slots)
@@ -238,8 +262,10 @@ def train(problem: TwoStageProblem, instances, config: TrainConfig) -> tuple[Mlp
 
     Per-instance stochastic steps in a freshly shuffled order each epoch;
     instances whose relaxations fail to solve are skipped with a warning.
-    The history records exact mean regret on a fixed validation slice (the
-    last fifth of the training set) after each epoch.
+    After an instance's first converged step, its barrier solves start warm
+    from that step's solutions.  The history records exact mean regret on a
+    fixed validation slice (the last fifth of the training set) after each
+    epoch.
     """
     if not len(instances):
         raise ValueError("empty training set")
@@ -251,6 +277,10 @@ def train(problem: TwoStageProblem, instances, config: TrainConfig) -> tuple[Mlp
     val = instances[len(instances) - n_val :] if n_val else []
     rng = np.random.default_rng(config.seed)
     order = np.arange(len(instances))
+    # Each training instance's last converged (stage 1, stage 2) barrier
+    # solutions: its next step re-centres from them instead of running
+    # phase-1 and the mu schedule again.
+    warm_starts: dict[int, list] = {}
 
     def validate(epoch: int):
         if not config.track_validation or not val:
@@ -267,8 +297,9 @@ def train(problem: TwoStageProblem, instances, config: TrainConfig) -> tuple[Mlp
         rng.shuffle(order)
         for i in order:
             features, theta = instances[i]
+            warm = warm_starts.setdefault(int(i), [None, None])
             try:
-                grads = surrogate_loss_grad(problem, net, features, theta, config.mu_cutoff)
+                grads = surrogate_loss_grad(problem, net, features, theta, config.mu_cutoff, warm=warm)
             except SolverFailure as exc:
                 history.skipped += 1
                 log.warning("skipping instance %d: %s", i, exc)

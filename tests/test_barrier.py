@@ -291,3 +291,78 @@ class TestInexactCentering:
             lp = StandardFormMilp(np.ones(len(G[0])), np.zeros((0, len(G[0]))), [], G, h)
             with pytest.raises(Infeasible):
                 phase1_interior(lp)
+
+
+def nearby_family_pairs():
+    """(label, lp, near) for stage 1 and stage 2 of every family: one
+    relaxation under an instance's theta and under theta moved by at most
+    1e-6 relative, stage 2 at the same barrier commitment."""
+    pairs = []
+    for name in ("alloy", "knapsack", "nsp", "stocking", "facility"):
+        spec, prob = build_problem(name, {}, 0.25, seed=1)
+        thetas = [theta for _, theta in dataio.generate(synth_spec_for(spec, m=3, n=2), seed=0).instances]
+        for k, theta in enumerate(thetas):
+            near = theta * (1 + 1e-6 * np.random.default_rng(k).uniform(-1, 1, theta.shape))
+            lp1 = instantiate(prob.stage1, theta)
+            x1 = solve_barrier(lp1, 1e-3).x
+            pairs += [
+                (f"{name} stage 1", lp1, instantiate(prob.stage1, near)),
+                (f"{name} stage 2", prob.stage2_build(x1, theta), prob.stage2_build(x1, near)),
+            ]
+    return pairs
+
+
+def assert_same_solution(got, ref):
+    assert got.x.tobytes() == ref.x.tobytes()
+    assert got.s.tobytes() == ref.s.tobytes()
+    assert got.y.tobytes() == ref.y.tobytes()
+    assert (got.mu, got.iterations, got.converged) == (ref.mu, ref.iterations, ref.converged)
+
+
+class TestWarmStart:
+    def test_nearby_cutoff_point_recentred_without_phase1(self, monkeypatch):
+        # Warm from the cutoff point of a nearby theta, the solve centres at
+        # the cutoff directly: the same point as the cold path, fewer Newton
+        # iterations, and no phase-1.
+        cases = []
+        for label, lp, near in nearby_family_pairs():
+            cases.append((label, near, solve_barrier(lp, 1e-3), solve_barrier(near, 1e-3)))
+        calls = []
+        real = barrier.phase1_interior
+        monkeypatch.setattr(barrier, "phase1_interior", lambda lp: calls.append(lp) or real(lp))
+        for label, near, src, cold in cases:
+            sol = solve_barrier(near, 1e-3, warm=src)
+            assert sol.converged, label
+            scale = 1.0 + np.abs(cold.x).max()
+            assert np.abs(sol.x - cold.x).max() <= 1e-6 * scale, label
+            assert sol.iterations < cold.iterations, label
+        assert calls == []
+
+    def test_non_interior_warm_point_gives_the_cold_result(self):
+        lp, _ = gen_feasible_lp(RandomLpSpec(d=4, p=1, q=5), 3)
+        cold = solve_barrier(lp, 1e-3)
+        outside = dataclasses.replace(cold, x=-cold.x)
+        assert_same_solution(solve_barrier(lp, 1e-3, warm=outside), cold)
+
+    @pytest.mark.parametrize("failure", ["nonconverged", "raises"])
+    def test_failed_warm_solve_falls_back_to_cold(self, monkeypatch, failure):
+        # The warm cutoff solve (the only Newton call that starts at warm.x)
+        # fails; the result is the cold solve's, bit for bit.
+        lp, _ = gen_feasible_lp(RandomLpSpec(d=4, p=1, q=5), 3)
+        cold = solve_barrier(lp, 1e-3)
+        warm = solve_barrier(lp, 2e-3)
+        real = barrier._newton_core
+        warm_calls = []
+
+        def spy(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0=None):
+            if x0 is warm.x:
+                warm_calls.append(mu)
+                if failure == "raises":
+                    raise NumericalFailure("forced")
+                return x0, np.zeros(A.shape[0]), Gbar @ x0 - hbar, max_iter, False
+            return real(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0)
+
+        monkeypatch.setattr(barrier, "_newton_core", spy)
+        sol = solve_barrier(lp, 1e-3, warm=warm)
+        assert warm_calls == [1e-3]
+        assert_same_solution(sol, cold)

@@ -52,6 +52,19 @@ class TestValidate:
         assert main(["validate", str(broken)]) == 2
         assert main(["run", str(broken)]) == 2
         assert main(["validate", str(tmp_path / "missing.json")]) == 2
+        # noise_std must be a finite nonnegative number: a string used to pass
+        # validation and crash `run` with a raw ValueError, and a negative
+        # value was silently treated as 0.
+        for noise in ("abc", -0.1, None, True, float("inf")):
+            cfg = base_config()
+            cfg["data"]["synthetic"]["noise_std"] = noise
+            noisy = tmp_path / "noisy.json"
+            noisy.write_text(json.dumps(cfg))
+            assert main(["validate", str(noisy)]) == 2, noise
+            assert main(["run", str(noisy), "--out", str(tmp_path / "out")]) == 2, noise
+        cfg = base_config()
+        cfg["data"]["synthetic"]["noise_std"] = 0
+        assert validate_dict(cfg) == []
 
 
 class TestBuildProblem:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tspo import cli, dataio, two_stage
+from tspo import barrier, cli, dataio, two_stage
 from tspo.errors import CorrectionInfeasible
 from tspo.exact import enumerate_binary, solve_milp_bnb
 from tspo.milp import instantiate
@@ -282,6 +282,22 @@ class TestTrainEvaluate:
         assert len(steps) == 2 * 12
         assert hist.skipped == 12
         assert len(updates) == 12
+
+    def test_warm_starts_skip_phase1_after_first_epoch(self, monkeypatch):
+        # An instance's first step solves both stages cold (two phase-1
+        # calls); its later steps start from its previous step's solutions,
+        # and only a warm point that is no longer interior (a stage-2 point
+        # after x1 moved, mostly) runs phase-1 again.  The count is
+        # deterministic; it was 2 * steps = 120 when every solve was cold.
+        calls = []
+        real = barrier.phase1_interior
+        monkeypatch.setattr(barrier, "phase1_interior", lambda lp: calls.append(lp) or real(lp))
+        prob, spec, _ = small_knapsack(0)
+        ds = dataio.generate(synth_spec_for(spec, m=3, n=12), seed=0)
+        cfg = TrainConfig(epochs=5, lr=1e-3, hidden=(4,), seed=1, track_validation=False)
+        _, hist = train(prob, list(ds.instances), cfg)
+        assert hist.skipped == 0
+        assert len(calls) == 30
 
     def test_evaluate_perfect_prediction(self):
         prob, spec, theta = small_knapsack(6)
