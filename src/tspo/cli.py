@@ -54,6 +54,15 @@ class ExperimentConfig:
         return cls(**known)
 
 
+def _is_int(v) -> bool:
+    # JSON true/false load as Python bools, which are ints.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def validate_dict(raw: dict) -> list[str]:
     """Full schema check; returns every error found, not just the first."""
     errors: list[str] = []
@@ -77,13 +86,13 @@ def validate_dict(raw: dict) -> list[str]:
         errors.append("penalty_factors: nonempty list required")
     else:
         for v in pfs:
-            if not isinstance(v, (int, float)) or v < 0:
+            if not _is_number(v) or v < 0:
                 errors.append(f"penalty_factors: entries must be nonnegative numbers, got {v!r}")
     runs = raw.get("runs", 1)
-    if not isinstance(runs, int) or runs < 1:
+    if not _is_int(runs) or runs < 1:
         errors.append("runs: positive integer required")
     tf = raw.get("train_fraction", 0.7)
-    if not isinstance(tf, (int, float)) or not 0 < tf < 1:
+    if not _is_number(tf) or not 0 < tf < 1:
         errors.append("train_fraction: must lie strictly between 0 and 1")
     data = raw.get("data")
     if not isinstance(data, dict):
@@ -97,14 +106,14 @@ def validate_dict(raw: dict) -> list[str]:
             errors.append("data.synthetic: object required")
         else:
             for key in ("m", "n"):
-                if not isinstance(syn.get(key), int) or syn.get(key, 0) < 1:
+                if not _is_int(syn.get(key)) or syn[key] < 1:
                     errors.append(f"data.synthetic.{key}: positive integer required")
             if "mapping" in syn and syn["mapping"] not in dataio.MAPPINGS:
                 errors.append(f"data.synthetic.mapping: must be one of {dataio.MAPPINGS}")
             noise = syn.get("noise_std", 0.0)
-            if isinstance(noise, bool) or not isinstance(noise, (int, float)) or not 0 <= noise < math.inf:
+            if not _is_number(noise) or not 0 <= noise < math.inf:
                 errors.append(f"data.synthetic.noise_std: nonnegative number required, got {noise!r}")
-        if not isinstance(data.get("seed", 0), int):
+        if not _is_int(data.get("seed", 0)):
             errors.append("data.seed: integer required")
     else:
         errors.append("data: needs either a `synthetic` block or a `csv` path")
@@ -115,18 +124,20 @@ def validate_dict(raw: dict) -> list[str]:
         for key, kind in (("lr", float), ("nn_lr", float), ("mu_cutoff", float), ("epochs", int)):
             if key in training:
                 val = training[key]
-                ok = isinstance(val, int) if kind is int else isinstance(val, (int, float))
+                ok = _is_int(val) if kind is int else _is_number(val)
                 if not ok or val <= 0:
                     errors.append(f"training.{key}: positive {kind.__name__} required")
         if "hidden" in training and (
             not isinstance(training["hidden"], list)
-            or not all(isinstance(v, int) and v > 0 for v in training["hidden"])
+            or not all(_is_int(v) and v > 0 for v in training["hidden"])
         ):
             errors.append("training.hidden: list of positive integers required")
+        if not isinstance(training.get("track_validation", False), bool):
+            errors.append("training.track_validation: true or false required")
     for key in ("ridge_lambda",):
-        if key in raw and (not isinstance(raw[key], (int, float)) or raw[key] < 0):
+        if key in raw and (not _is_number(raw[key]) or raw[key] < 0):
             errors.append(f"{key}: nonnegative number required")
-    if "knn_k" in raw and (not isinstance(raw["knn_k"], int) or raw["knn_k"] < 1):
+    if "knn_k" in raw and (not _is_int(raw["knn_k"]) or raw["knn_k"] < 1):
         errors.append("knn_k: positive integer required")
     return errors
 
@@ -196,7 +207,7 @@ def _fit_method(method: str, problem, train_set, cfg: ExperimentConfig, seed: in
             mu_cutoff=float(tr.get("mu_cutoff", 1e-3)),
             hidden=hidden,
             seed=seed,
-            track_validation=bool(tr.get("track_validation", False)),
+            track_validation=tr.get("track_validation", False),
         )
         net, history = train(problem, list(train_set), config)
         return as_predict_fn(MlpModel(net)), history

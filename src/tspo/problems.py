@@ -4,9 +4,9 @@ Three main families (ore blending with unknown concentrations, a
 profit/size-uncertain 0-1 knapsack, nurse rostering with unknown patient
 demand) plus two modelling demonstrations (product stocking with symmetric
 change surcharges, facility opening with hard commitments and overtime
-recourse).  Each constructor packages the Stage-1 parameter template, the
-Stage-2 penalty-augmented builder, the penalty function, and the analytic
-regret derivatives used by the surrogate gradient.
+recourse).  Each constructor packages the Stage-1 parameter template over theta, the
+penalty-augmented Stage-2 template over [theta, x1], the penalty function,
+and the analytic regret derivatives used by the surrogate gradient.
 
 Maximization problems are stored negated; every template below is written
 for the canonical minimization form.
@@ -59,15 +59,15 @@ def alloy_problem(spec: AlloySpec) -> TwoStageProblem:
     slots1 = tuple(Slot("G", (m, k), k * M + m) for m in range(M) for k in range(K))
     stage1 = ParamTemplate(skeleton1, slots1, t=K * M)
 
-    pen_rate = spec.sigma * spec.cost
+    # Stage 2 over [con, x1]: the same concentration slots, plus x >= x1.
+    G2 = np.vstack([np.zeros((M, K)), np.eye(K)])
+    skeleton2 = StandardFormMilp(
+        c=(1.0 + spec.sigma) * spec.cost, A=np.zeros((0, K)), b=[], G=G2, h=np.concatenate([spec.req, np.zeros(K)])
+    )
+    slots2 = slots1 + tuple(Slot("h", M + k, K * M + k) for k in range(K))
+    stage2 = ParamTemplate(skeleton2, slots2, t=K * M + K)
 
-    def stage2_template(theta: np.ndarray) -> ParamTemplate:
-        con = np.asarray(theta, dtype=float).reshape(K, M)
-        G2 = np.vstack([con.T, np.eye(K)])
-        h2 = np.concatenate([spec.req, np.zeros(K)])
-        sk = StandardFormMilp(c=(1.0 + spec.sigma) * spec.cost, A=np.zeros((0, K)), b=[], G=G2, h=h2)
-        slots = tuple(Slot("h", M + k, k) for k in range(K))
-        return ParamTemplate(sk, slots, t=K)
+    pen_rate = spec.sigma * spec.cost
 
     def penalty_eval(x1, x2_full, theta):
         return float(pen_rate @ (np.asarray(x2_full)[:K] - np.asarray(x1)))
@@ -81,14 +81,11 @@ def alloy_problem(spec: AlloySpec) -> TwoStageProblem:
     return TwoStageProblem(
         name="alloy",
         stage1=stage1,
-        stage2_template=stage2_template,
+        stage2=stage2,
         penalty_eval=penalty_eval,
         dPReg_dx2=dPReg_dx2,
         dPReg_dx1=dPReg_dx1,
-        dx1_slots=("G",),
-        dx2_slots=("h",),
         maximization=False,
-        stage2_primary_dim=K,
     )
 
 
@@ -139,16 +136,15 @@ def knapsack_problem(spec: KnapsackSpec) -> TwoStageProblem:
     slots1 += tuple(Slot("G", (0, j), d + j, scale=-1.0) for j in range(d))
     stage1 = ParamTemplate(skeleton1, slots1, t=2 * d)
 
-    def stage2_template(theta: np.ndarray) -> ParamTemplate:
-        f = np.asarray(theta[:d], dtype=float)
-        s = np.asarray(theta[d:], dtype=float)
-        G2 = np.vstack([-s[None, :], -np.eye(d)])
-        h2 = np.concatenate([[-spec.cap], np.zeros(d)])
-        sk = StandardFormMilp(
-            c=-(1.0 + spec.sigma) * f, A=np.zeros((0, d)), b=[], G=G2, h=h2, int_vars=frozenset(range(d))
-        )
-        slots = tuple(Slot("h", 1 + j, j, scale=-1.0) for j in range(d))
-        return ParamTemplate(sk, slots, t=d)
+    # Stage 2 over [profits, sizes, x1], with x <= x1.  Up to a constant,
+    # the drop penalty sigma f'(x1 - x) makes each kept item worth (1 + sigma) f.
+    skeleton2 = StandardFormMilp(
+        c=np.zeros(d), A=np.zeros((0, d)), b=[], G=G1, h=np.concatenate([[-spec.cap], np.zeros(d)]),
+        int_vars=frozenset(range(d)),
+    )
+    slots2 = tuple(Slot("c", j, j, scale=-(1.0 + spec.sigma)) for j in range(d))
+    slots2 += slots1[d:] + tuple(Slot("h", 1 + j, 2 * d + j, scale=-1.0) for j in range(d))
+    stage2 = ParamTemplate(skeleton2, slots2, t=3 * d)
 
     def penalty_eval(x1, x2_full, theta):
         f = np.asarray(theta[:d], dtype=float)
@@ -163,14 +159,11 @@ def knapsack_problem(spec: KnapsackSpec) -> TwoStageProblem:
     return TwoStageProblem(
         name="knapsack",
         stage1=stage1,
-        stage2_template=stage2_template,
+        stage2=stage2,
         penalty_eval=penalty_eval,
         dPReg_dx2=dPReg_dx2,
         dPReg_dx1=dPReg_dx1,
-        dx1_slots=("c", "G"),
-        dx2_slots=("h",),
         maximization=True,
-        stage2_primary_dim=d,
     )
 
 
@@ -245,30 +238,27 @@ def nsp_problem(spec: NspSpec) -> TwoStageProblem:
 
     pen_coef = spec.gamma * (5.0 - spec.P) ** 2
 
-    def stage2_template(theta: np.ndarray) -> ParamTemplate:
-        H = np.asarray(theta, dtype=float)
-        zeros = np.zeros((G1.shape[0], d))
-        Gfull = np.vstack(
-            [
-                np.hstack([G1, zeros]),
-                np.hstack([G2, np.zeros((G2.shape[0], d))]),
-                np.hstack([-np.eye(d), np.eye(d)]),  # sigma - x >= -x1
-                np.hstack([box, np.zeros((d, d))]),
-                np.hstack([np.zeros((d, d)), box]),
-            ]
-        )
-        hfull = np.concatenate([H, -np.ones(n * (k - 1)), np.zeros(d), -np.ones(d), -np.ones(d)])
-        sk = StandardFormMilp(
-            c=np.concatenate([-spec.P, pen_coef]),
-            A=np.hstack([A, np.zeros((A.shape[0], d))]),
-            b=np.ones(n * k),
-            G=Gfull,
-            h=hfull,
-            int_vars=frozenset(range(2 * d)),
-        )
-        base = G1.shape[0] + G2.shape[0]
-        slots = tuple(Slot("h", base + i, i, scale=-1.0) for i in range(d))
-        return ParamTemplate(sk, slots, t=d)
+    # Stage 2 over [demand, x1] on variables [x, sigma].
+    Gfull = np.vstack(
+        [
+            np.hstack([G1, np.zeros((t, d))]),
+            np.hstack([G2, np.zeros((G2.shape[0], d))]),
+            np.hstack([-np.eye(d), np.eye(d)]),  # sigma - x >= -x1
+            np.hstack([box, np.zeros((d, d))]),
+            np.hstack([np.zeros((d, d)), box]),
+        ]
+    )
+    skeleton2 = StandardFormMilp(
+        c=np.concatenate([-spec.P, pen_coef]),
+        A=np.hstack([A, np.zeros((A.shape[0], d))]),
+        b=np.ones(n * k),
+        G=Gfull,
+        h=np.concatenate([np.zeros(t), -np.ones(n * (k - 1)), np.zeros(d), -np.ones(d), -np.ones(d)]),
+        int_vars=frozenset(range(2 * d)),
+    )
+    base = t + G2.shape[0]
+    slots2 = stage1.slots + tuple(Slot("h", base + i, t + i, scale=-1.0) for i in range(d))
+    stage2 = ParamTemplate(skeleton2, slots2, t=t + d)
 
     def penalty_eval(x1, x2_full, theta):
         gain = np.maximum(np.asarray(x2_full)[:d] - np.asarray(x1), 0.0)
@@ -285,14 +275,11 @@ def nsp_problem(spec: NspSpec) -> TwoStageProblem:
     return TwoStageProblem(
         name="nsp",
         stage1=stage1,
-        stage2_template=stage2_template,
+        stage2=stage2,
         penalty_eval=penalty_eval,
         dPReg_dx2=dPReg_dx2,
         dPReg_dx1=dPReg_dx1,
-        dx1_slots=("h",),
-        dx2_slots=("h",),
         maximization=True,
-        stage2_primary_dim=d,
     )
 
 
@@ -347,16 +334,19 @@ def product_stocking_problem(spec: StockingSpec) -> TwoStageProblem:
     )
     stage1 = ParamTemplate(skeleton1, (Slot("h", 0, 0, scale=-1.0),), t=1)
 
-    def stage2_template(theta: np.ndarray) -> ParamTemplate:
-        space = float(theta[0])
-        c2 = np.concatenate([-spec.profit, spec.surcharge, spec.surcharge])
-        A2 = np.hstack([np.eye(d), -np.eye(d), np.eye(d)])
-        G2 = np.zeros((1 + 3 * d, 3 * d))
-        G2[0, :d] = -spec.size
-        G2[1:, :] = -np.eye(3 * d)
-        h2 = np.concatenate([[-space], -np.ones(3 * d)])
-        sk = StandardFormMilp(c=c2, A=A2, b=np.zeros(d), G=G2, h=h2, int_vars=frozenset(range(3 * d)))
-        return ParamTemplate(sk, tuple(Slot("b", i, i) for i in range(d)), t=d)
+    # Stage 2 over [space, x1] on variables [x, up, down].
+    G2 = np.zeros((1 + 3 * d, 3 * d))
+    G2[0, :d] = -spec.size
+    G2[1:, :] = -np.eye(3 * d)
+    skeleton2 = StandardFormMilp(
+        c=np.concatenate([-spec.profit, spec.surcharge, spec.surcharge]),
+        A=np.hstack([np.eye(d), -np.eye(d), np.eye(d)]),
+        b=np.zeros(d),
+        G=G2,
+        h=np.concatenate([[0.0], -np.ones(3 * d)]),
+        int_vars=frozenset(range(3 * d)),
+    )
+    stage2 = ParamTemplate(skeleton2, stage1.slots + tuple(Slot("b", i, 1 + i) for i in range(d)), t=1 + d)
 
     def penalty_eval(x1, x2_full, theta):
         return float(spec.surcharge @ np.abs(np.asarray(x2_full)[:d] - np.asarray(x1)))
@@ -372,14 +362,11 @@ def product_stocking_problem(spec: StockingSpec) -> TwoStageProblem:
     return TwoStageProblem(
         name="stocking",
         stage1=stage1,
-        stage2_template=stage2_template,
+        stage2=stage2,
         penalty_eval=penalty_eval,
         dPReg_dx2=dPReg_dx2,
         dPReg_dx1=dPReg_dx1,
-        dx1_slots=("h",),
-        dx2_slots=("b",),
         maximization=True,
-        stage2_primary_dim=d,
     )
 
 
@@ -421,12 +408,12 @@ def facility_recourse_problem(spec: FacilitySpec) -> TwoStageProblem:
     d = spec.d
     U = float(spec.overtime_cap)
 
-    def make_skeleton(with_commitment: bool, demand_rhs: float = 0.0) -> StandardFormMilp:
+    def make_skeleton(with_commitment: bool) -> StandardFormMilp:
         demand = np.concatenate([spec.capacity, np.ones(d)])[None, :]
         link = np.hstack([U * np.eye(d), -np.eye(d)])
         box = np.hstack([-np.eye(d), np.zeros((d, d))])
         G = np.vstack([demand, link, box])
-        h = np.concatenate([[demand_rhs], np.zeros(d), -np.ones(d)])
+        h = np.concatenate([[0.0], np.zeros(d), -np.ones(d)])
         A = np.hstack([np.eye(d), np.zeros((d, d))]) if with_commitment else np.zeros((0, 2 * d))
         b = np.zeros(d) if with_commitment else np.zeros(0)
         return StandardFormMilp(
@@ -435,10 +422,9 @@ def facility_recourse_problem(spec: FacilitySpec) -> TwoStageProblem:
         )
 
     stage1 = ParamTemplate(make_skeleton(False), (Slot("h", 0, 0),), t=1)
-
-    def stage2_template(theta: np.ndarray) -> ParamTemplate:
-        sk = make_skeleton(True, demand_rhs=float(theta[0]))
-        return ParamTemplate(sk, tuple(Slot("b", i, i) for i in range(d)), t=2 * d)
+    # Stage 2 over [demand, x1]: the openings x1[:d] pin x through b.
+    slots2 = stage1.slots + tuple(Slot("b", i, 1 + i) for i in range(d))
+    stage2 = ParamTemplate(make_skeleton(True), slots2, t=1 + 2 * d)
 
     def penalty_eval(x1, x2_full, theta):
         return 0.0
@@ -452,14 +438,11 @@ def facility_recourse_problem(spec: FacilitySpec) -> TwoStageProblem:
     return TwoStageProblem(
         name="facility",
         stage1=stage1,
-        stage2_template=stage2_template,
+        stage2=stage2,
         penalty_eval=penalty_eval,
         dPReg_dx2=dPReg_dx2,
         dPReg_dx1=dPReg_dx1,
-        dx1_slots=("h",),
-        dx2_slots=("b",),
         maximization=False,
-        stage2_primary_dim=2 * d,
     )
 
 
@@ -479,8 +462,8 @@ def dimension_report(problem: TwoStageProblem) -> DimensionReport:
 
     The constraint count tallies equality rows, inequality rows (explicit
     upper bounds included), and the x >= 0 bounds.  The knapsack's unknown
-    count is per item (each item carries a profit and a size predicted from
-    the same feature row).
+    count is per item: each item's profit and size are two of its t = 2d
+    parameters, each predicted from its own feature row.
     """
     sk = problem.stage1.skeleton
     unknown = sk.d if problem.name == "knapsack" else problem.stage1.t
@@ -524,49 +507,3 @@ def synth_spec_for(problem_spec, m: int, n: int, mapping: str = "sine-mix", nois
     else:
         raise TypeError(f"no synthetic recipe for {type(problem_spec).__name__}")
     return SynthSpec(t=t, m=m, n=n, mapping=mapping, noise_std=noise_std, segments=segs)
-
-
-def _sampled_sigma(base: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(base - 0.015, base + 0.015, size=size)
-
-
-def brass_alloy_spec(penalty_factor: float = 0.25, seed: int = 0) -> AlloySpec:
-    """Paper-scale brass blend: 10 supplier sites, Cu and Zn requirements."""
-    rng = np.random.default_rng(seed)
-    return AlloySpec(
-        K=10,
-        M=2,
-        cost=rng.uniform(1.0, 5.0, size=10),
-        req=np.array([627.54, 369.72]),
-        sigma=_sampled_sigma(penalty_factor, 10, rng),
-    )
-
-
-def titanium_alloy_spec(penalty_factor: float = 0.25, seed: int = 0) -> AlloySpec:
-    """Paper-scale titanium-strengthening blend: 10 sites, C/Al/V/Fe requirements."""
-    rng = np.random.default_rng(seed)
-    return AlloySpec(
-        K=10,
-        M=4,
-        cost=rng.uniform(1.0, 5.0, size=10),
-        req=np.array([0.8, 60.0, 40.0, 2.5]),
-        sigma=_sampled_sigma(penalty_factor, 10, rng),
-    )
-
-
-def paper_knapsack_spec(cap: float = 100.0, sigma: float = 0.25) -> KnapsackSpec:
-    return KnapsackSpec(d=10, cap=cap, sigma=sigma)
-
-
-def paper_nsp_spec(penalty_factor: float = 0.25, seed: int = 0) -> NspSpec:
-    """Paper-scale roster: 15 nurses, 7 days, 3 shifts."""
-    rng = np.random.default_rng(seed)
-    d = 15 * 7 * 3
-    return NspSpec(
-        n=15,
-        k=7,
-        s=3,
-        P=rng.integers(1, 5, size=d).astype(float),
-        m=rng.integers(10, 21, size=15).astype(float),
-        gamma=_sampled_sigma(penalty_factor, d, rng),
-    )

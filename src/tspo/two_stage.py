@@ -43,35 +43,32 @@ log = logging.getLogger("tspo")
 class TwoStageProblem:
     """One benchmark family: templates, penalty, and regret derivatives.
 
-    ``stage2_template(theta)`` returns a template over the Stage-1 decision
-    vector, so the same slot machinery that injects predicted parameters
-    into Stage 1 also injects the commitment into Stage 2.  ``dPReg_dx2``
-    and ``dPReg_dx1`` are the analytic partial derivatives of regret in the
-    final and committed solutions; ``dPReg_dx2`` is sized for the full
-    Stage-2 variable vector (auxiliary penalty variables included).
+    ``stage1`` is a template over the parameters theta (length t1).
+    ``stage2`` is one template over the concatenation [theta, x1], of length
+    t1 + d1: theta fills the Stage-2 entries it fills in Stage 1, and the
+    Stage-1 decision x1 (length d1) fills the commitment entries through the
+    slots with theta_index >= t1.  Stage-2 variable vectors may carry
+    auxiliary penalty variables after their first d1 entries, which are the
+    decision comparable with Stage 1.  ``dPReg_dx2`` and ``dPReg_dx1`` are
+    the analytic partial derivatives of regret in the final and committed
+    solutions; ``dPReg_dx2`` is sized for the full Stage-2 variable vector.
     """
 
     name: str
     stage1: ParamTemplate
-    stage2_template: Callable[[np.ndarray], ParamTemplate]
+    stage2: ParamTemplate
     penalty_eval: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
     dPReg_dx2: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     dPReg_dx1: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    dx1_slots: tuple[str, ...]
-    dx2_slots: tuple[str, ...]
     maximization: bool = False
-    # Stage-2 variable vectors may carry auxiliaries; the first slice of this
-    # length is the decision part comparable with Stage-1 solutions.
-    stage2_primary_dim: int = 0
     # True optima by the bytes of theta; see ``true_optimum``.
     tov_cache: dict[bytes, ExactSolution] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def stage2_build(self, x1: np.ndarray, theta: np.ndarray) -> StandardFormMilp:
-        return instantiate(self.stage2_template(theta), x1)
+        return instantiate(self.stage2, np.concatenate([theta, x1]))
 
     def extract_x2(self, x2_full: np.ndarray) -> np.ndarray:
-        d = self.stage2_primary_dim or self.stage1.skeleton.d
-        return np.asarray(x2_full)[:d]
+        return np.asarray(x2_full)[: self.stage1.skeleton.d]
 
 
 @dataclass(frozen=True)
@@ -84,6 +81,10 @@ class RegretReport:
     stage1_feasible_under_truth: bool
 
 
+# Share of the training set, taken from its end, that tracks validation regret.
+VAL_FRACTION = 0.2
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 12
@@ -91,7 +92,6 @@ class TrainConfig:
     mu_cutoff: float = 1e-3
     hidden: tuple[int, ...] = (16, 16, 16)
     seed: int = 0
-    val_fraction: float = 0.2
     track_validation: bool = True
 
 
@@ -205,6 +205,11 @@ def surrogate_loss(
     return float(true_milp.c @ x2) + float(problem.penalty_eval(sol1.x, sol2.x, theta)) - tov
 
 
+def _slot_blocks(template: ParamTemplate, first: int = 0) -> tuple[str, ...]:
+    """The blocks holding a slot of parameter entry ``first`` or later."""
+    return tuple(dict.fromkeys(s.block for s in template.slots if s.theta_index >= first))
+
+
 def surrogate_loss_grad(
     problem: TwoStageProblem,
     net: Mlp,
@@ -231,16 +236,16 @@ def surrogate_loss_grad(
     if warm is not None:
         warm[:] = (sol1, sol2)
 
-    t2 = problem.stage2_template(theta)
-    milp2 = instantiate(t2, sol1.x)
+    t1 = problem.stage1.t
+    milp2 = problem.stage2_build(sol1.x, theta)
     u2 = np.asarray(problem.dPReg_dx2(sol1.x, sol2.x, theta), dtype=float)
     try:
-        vjps2 = kkt.vjp(milp2, sol2, u2, blocks=problem.dx2_slots)
-        via_stage2 = backprop_slots(t2, vjps2)  # d(regret)/d(x1) through stage 2
+        vjps2 = kkt.vjp(milp2, sol2, u2, blocks=_slot_blocks(problem.stage2, t1))
+        via_stage2 = backprop_slots(problem.stage2, vjps2)[t1:]  # d(regret)/d(x1) through stage 2
         u1 = via_stage2 + np.asarray(problem.dPReg_dx1(sol1.x, sol2.x, theta), dtype=float)
 
         milp1 = instantiate(problem.stage1, theta_hat)
-        vjps1 = kkt.vjp(milp1, sol1, u1, blocks=problem.dx1_slots)
+        vjps1 = kkt.vjp(milp1, sol1, u1, blocks=_slot_blocks(problem.stage1))
     except (NumericalFailure, SingularSystem, NotInterior) as exc:
         raise SolverFailure(f"{problem.name}: gradient assembly failed: {exc}") from exc
     dtheta = backprop_slots(problem.stage1, vjps1)
@@ -273,7 +278,7 @@ def train(problem: TwoStageProblem, instances, config: TrainConfig) -> tuple[Mlp
     net = init_mlp((m, *config.hidden, 1), seed=config.seed)
     state = init_adam(net, lr=config.lr)
     history = TrainHistory()
-    n_val = int(round(config.val_fraction * len(instances)))
+    n_val = int(round(VAL_FRACTION * len(instances)))
     val = instances[len(instances) - n_val :] if n_val else []
     rng = np.random.default_rng(config.seed)
     order = np.arange(len(instances))

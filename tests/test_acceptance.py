@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from tspo import dataio, kkt
+from tspo import cli, dataio, kkt
 from tspo.barrier import solve_barrier
 from tspo.cli import ExperimentConfig, run_experiment
 from tspo.exact import Status, enumerate_binary, solve_lp_exact, solve_milp_bnb
@@ -26,15 +26,11 @@ from tspo.problems import (
     NspSpec,
     alloy_problem,
     alloy_scale_up_correction,
-    brass_alloy_spec,
     dimension_report,
     knapsack_problem,
     nsp_demand_cap,
     nsp_problem,
-    paper_knapsack_spec,
-    paper_nsp_spec,
     synth_spec_for,
-    titanium_alloy_spec,
 )
 from tspo.testutil import RandomLpSpec, fd_mixed_error, finite_diff_jacobian, gen_feasible_lp, vertex_enumerate_lp
 from tspo.two_stage import (
@@ -275,12 +271,14 @@ def test_a7_dimensional_fidelity():
         "knapsack": (10, 21, 10),
         "nsp": (315, 846, 21),
     }
-    reports = {
-        "brass": dimension_report(alloy_problem(brass_alloy_spec())),
-        "titanium": dimension_report(alloy_problem(titanium_alloy_spec())),
-        "knapsack": dimension_report(knapsack_problem(paper_knapsack_spec())),
-        "nsp": dimension_report(nsp_problem(paper_nsp_spec())),
+    # The paper-scale instances as `tspo run` builds them (penalty factor 0.25, seed 0).
+    built = {
+        "brass": cli.build_problem("alloy", {"req": "brass"}, 0.25, 0),
+        "titanium": cli.build_problem("alloy", {"req": "titanium"}, 0.25, 0),
+        "knapsack": cli.build_problem("knapsack", {"cap": 100.0}, 0.25, 0),
+        "nsp": cli.build_problem("nsp", {"n": 15, "k": 7, "s": 3}, 0.25, 0),
     }
+    reports = {name: dimension_report(problem) for name, (_, problem) in built.items()}
     bad = []
     lines = []
     for name, (d, cons, params) in table.items():

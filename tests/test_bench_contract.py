@@ -1,17 +1,23 @@
-"""The names and call shapes that perfbench's wrappers rely on.
+"""The names and call shapes that perfbench relies on.
 
 perfbench measures layers by replacing tspo functions from outside the
 package (``perfbench/spans.py``).  A renamed function or a moved positional
 argument does not fail a bench run there: the wrapper is skipped, or reads
-the wrong argument, and the traced metrics silently read 0.  These checks
-fail instead.
+the wrong argument, and the traced metrics silently read 0.  Its HiGHS
+check (``perfbench/checks.py``) rebuilds Stage 2 by calling the problem's
+methods positionally, so a swapped argument would check a wrong Stage 2.
+These checks fail instead.
 """
 
 import importlib.util
 import inspect
 from pathlib import Path
 
-from tspo import barrier, two_stage
+import pytest
+
+from tspo import barrier, cli, dataio, problems, two_stage
+from tspo.exact import solve_milp_bnb
+from tspo.milp import instantiate
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -45,3 +51,25 @@ def test_every_patched_name_exists():
     targets += [(barrier, "phase1_interior"), (two_stage.TwoStageProblem, "stage2_build")]
     missing = [f"{owner.__name__}.{attr}" for owner, attr in targets if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_stage2_build_positional_parameters():
+    # checks.py calls problem.stage2_build(x1, theta) by position.
+    assert positional(two_stage.TwoStageProblem.stage2_build) == ["self", "x1", "theta"]
+
+
+@pytest.mark.parametrize("family", cli.PROBLEMS)
+def test_stage2_check_call_shapes(family):
+    # checks.py re-solves Stage 2 at the program's commitment x1 and totals
+    # instantiate(problem.stage1, theta).c @ extract_x2(x2) plus
+    # penalty_eval(x1, x2, theta).  Under a perfect prediction that total is
+    # the true optimum; with x1 and theta swapped it is not.
+    spec, problem = cli.build_problem(family, {}, 0.25, 0)
+    theta = dataio.generate(problems.synth_spec_for(spec, m=2, n=1), seed=0).instances[0][1]
+    opt = solve_milp_bnb(instantiate(problem.stage1, theta))
+    x1 = opt.x
+    x2 = solve_milp_bnb(problem.stage2_build(x1, theta)).x
+    assert problem.extract_x2(x2).shape == x1.shape
+    total = float(instantiate(problem.stage1, theta).c @ problem.extract_x2(x2))
+    total += float(problem.penalty_eval(x1, x2, theta))
+    assert abs(total - opt.objective) <= 1e-6 * (1.0 + abs(opt.objective))

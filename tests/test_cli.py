@@ -65,6 +65,39 @@ class TestValidate:
         cfg = base_config()
         cfg["data"]["synthetic"]["noise_std"] = 0
         assert validate_dict(cfg) == []
+        # JSON true loads as a Python bool, which is an int: it used to pass
+        # every number and integer check and run as 1.  A string flag used to
+        # pass too, and bool("no") turned validation tracking on.
+        bad_values = [
+            (("runs",), True),
+            (("data", "synthetic", "m"), True),
+            (("data", "synthetic", "n"), True),
+            (("data", "seed"), True),
+            (("penalty_factors",), [True]),
+            (("training", "lr"), True),
+            (("training", "nn_lr"), True),
+            (("training", "mu_cutoff"), True),
+            (("training", "epochs"), True),
+            (("training", "hidden"), [True]),
+            (("ridge_lambda",), True),
+            (("knn_k",), True),
+            (("training", "track_validation"), "no"),
+            (("training", "track_validation"), 1),
+        ]
+        for path, value in bad_values:
+            cfg = base_config()
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            flagged = tmp_path / "flagged.json"
+            flagged.write_text(json.dumps(cfg))
+            assert main(["validate", str(flagged)]) == 2, path
+            assert main(["run", str(flagged), "--out", str(tmp_path / "out")]) == 2, path
+        for flag in (True, False):
+            cfg = base_config()
+            cfg["training"]["track_validation"] = flag
+            assert validate_dict(cfg) == []
 
 
 class TestBuildProblem:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tspo import dataio
+from tspo import cli, dataio
 from tspo.exact import Status, enumerate_binary, solve_milp_bnb
 from tspo.milp import check_feasibility, instantiate
 from tspo.problems import (
@@ -11,20 +11,29 @@ from tspo.problems import (
     NspSpec,
     StockingSpec,
     alloy_problem,
-    brass_alloy_spec,
     dimension_report,
     facility_recourse_problem,
     knapsack_problem,
     nsp_demand_cap,
     nsp_problem,
-    paper_knapsack_spec,
-    paper_nsp_spec,
     product_stocking_problem,
     synth_spec_for,
-    titanium_alloy_spec,
 )
 from tspo.testutil import finite_diff_jacobian
 from tspo.two_stage import post_hoc_regret, stage1_solve, stage2_solve
+
+# The paper-scale instances, as `tspo run` builds them (penalty factor 0.25, seed 0).
+PAPER_SCALE = {
+    "brass": ("alloy", {"req": "brass"}),
+    "titanium": ("alloy", {"req": "titanium"}),
+    "knapsack": ("knapsack", {"cap": 100.0}),
+    "nsp": ("nsp", {"n": 15, "k": 7, "s": 3}),
+}
+
+
+def paper_scale(name):
+    family, params = PAPER_SCALE[name]
+    return cli.build_problem(family, params, 0.25, 0)
 
 
 class TestPenalties:
@@ -77,12 +86,7 @@ class TestDimensions:
             "knapsack": (10, 21, 10),
             "nsp": (315, 846, 21),
         }
-        reports = {
-            "brass": dimension_report(alloy_problem(brass_alloy_spec())),
-            "titanium": dimension_report(alloy_problem(titanium_alloy_spec())),
-            "knapsack": dimension_report(knapsack_problem(paper_knapsack_spec())),
-            "nsp": dimension_report(nsp_problem(paper_nsp_spec())),
-        }
+        reports = {name: dimension_report(paper_scale(name)[1]) for name in expected}
         for name, (d, cons, params) in expected.items():
             rep = reports[name]
             assert rep.d == d, name
@@ -90,8 +94,7 @@ class TestDimensions:
             assert rep.unknown_parameters == params, name
 
     def test_nsp_constraint_breakdown(self):
-        spec = paper_nsp_spec()
-        prob = nsp_problem(spec)
+        spec, prob = paper_scale("nsp")
         sk = prob.stage1.skeleton
         t = spec.shifts
         assert sk.p == spec.n * spec.k  # one-shift-per-day equalities
@@ -246,7 +249,7 @@ class TestSynthSpecs:
         assert np.all(thetas > 0) and np.all(thetas <= 1.0)
 
     def test_nsp_integer_demands_under_cap(self):
-        spec = paper_nsp_spec()
+        spec, _ = paper_scale("nsp")
         synth = synth_spec_for(spec, m=4, n=20)
         ds = dataio.generate(synth, seed=1)
         cap = nsp_demand_cap(spec)

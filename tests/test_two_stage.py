@@ -13,12 +13,14 @@ from tspo.problems import (
     FacilitySpec,
     KnapsackSpec,
     NspSpec,
+    StockingSpec,
     alloy_problem,
     alloy_scale_up_correction,
     facility_recourse_problem,
     knapsack_problem,
     nsp_demand_cap,
     nsp_problem,
+    product_stocking_problem,
     synth_spec_for,
 )
 from tspo.two_stage import (
@@ -184,24 +186,41 @@ class TestSurrogateGradient:
                 flat.append(g.ravel())
         return np.concatenate(flat)
 
-    @pytest.mark.parametrize("family", ["alloy", "knapsack"])
+    @staticmethod
+    def fd_instance(family):
+        """A small problem, its true theta, and a shift added to the untrained
+        network's output so that its predictions land in the family's range."""
+        if family == "alloy":
+            spec = AlloySpec(K=2, M=1, cost=[2.0, 3.0], req=[1.0], sigma=[0.5, 0.4])
+            return alloy_problem(spec), np.array([0.8, 0.6]), 0.0
+        if family == "knapsack":
+            return knapsack_problem(KnapsackSpec(d=2, cap=6.0, sigma=0.25)), np.array([5.0, 7.0, 4.0, 5.0]), 0.0
+        if family == "nsp":
+            spec = NspSpec(n=2, k=2, s=2, P=[4.0, 1.0, 2.0, 3.0, 1.0, 3.0, 4.0, 2.0], m=[12.0, 15.0],
+                           gamma=[0.5, 0.3, 0.8, 0.6, 0.4, 0.7, 0.5, 0.9])
+            return nsp_problem(spec), np.array([6.0, 9.0, 4.0, 8.0]), 6.0
+        if family == "stocking":
+            # Surcharges above the profits and more space than predicted: Stage 2
+            # keeps x1, so much of the gradient runs through the Stage-2 b slots.
+            profit = np.array([4.0, 6.0, 5.0])
+            spec = StockingSpec(profit=profit, size=[2.0, 3.0, 1.0], surcharge=2.0 * profit)
+            return product_stocking_problem(spec), np.array([5.0]), 3.5
+        spec = FacilitySpec(open_cost=[5.0, 6.0], overtime_fee=[2.0, 2.5], capacity=[10.0, 12.0], overtime_cap=22.0)
+        return facility_recourse_problem(spec), np.array([15.0]), 15.0
+
+    # nsp takes d(regret)/d(x1) through Stage-2 h slots next to its theta
+    # slots, stocking and facility through b; alloy and knapsack through h.
+    @pytest.mark.parametrize("family", ["alloy", "knapsack", "nsp", "stocking", "facility"])
     def test_matches_end_to_end_fd(self, family):
+        prob, theta, shift = self.fd_instance(family)
         checked = 0
         seed = 0
         while checked < 4 and seed < 24:
             seed += 1
             rng = np.random.default_rng(seed)
-            if family == "alloy":
-                spec = AlloySpec(K=2, M=1, cost=[2.0, 3.0], req=[1.0], sigma=[0.5, 0.4])
-                prob = alloy_problem(spec)
-                theta = np.array([0.8, 0.6])
-                features = rng.normal(size=(2, 3))
-            else:
-                spec = KnapsackSpec(d=2, cap=6.0, sigma=0.25)
-                prob = knapsack_problem(spec)
-                theta = np.array([5.0, 7.0, 4.0, 5.0])
-                features = rng.normal(size=(4, 3))
+            features = rng.normal(size=(len(theta), 3))
             net = init_mlp((3, 4, 1), seed=seed + 50)
+            net.biases[-1] += shift
             try:
                 grads = surrogate_loss_grad(prob, net, features, theta, 1e-3)
             except Exception:
