@@ -9,7 +9,6 @@ from .barrier import BarrierSolution, phase1_interior, solve_barrier, solve_fixe
 from .exact import ExactSolution, Status, enumerate_binary, solve_lp_exact, solve_milp_bnb
 from .milp import (
     Assignment,
-    FeasibilityReport,
     ParamTemplate,
     Slot,
     StandardFormMilp,
@@ -21,7 +20,6 @@ __all__ = [
     "Assignment",
     "BarrierSolution",
     "ExactSolution",
-    "FeasibilityReport",
     "ParamTemplate",
     "Slot",
     "StandardFormMilp",

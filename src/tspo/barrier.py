@@ -24,7 +24,7 @@ since path following needs only approximate centring between mu updates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -44,10 +44,11 @@ CENTERING_TOL = 1e-1
 
 @dataclass(frozen=True)
 class BarrierSolution:
-    """Interior optimum of the relaxation at barrier weight ``mu``.
+    """Interior optimum of the relaxation ``lp`` at barrier weight ``mu``.
 
     ``x > 0`` and ``s = Gx - h > 0`` strictly; ``y`` are the equality duals
-    in the convention  f_x(x) = A'y  at stationarity.
+    in the convention  f_x(x) = A'y  at stationarity.  ``lp`` is the problem
+    that was solved, so the solution is all ``kkt.vjp`` needs.
     """
 
     x: np.ndarray
@@ -56,6 +57,7 @@ class BarrierSolution:
     mu: float
     iterations: int
     converged: bool
+    lp: StandardFormMilp = field(repr=False)
 
 
 def chol_lower(a: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -267,7 +269,7 @@ def solve_fixed_mu(
     x0 = warm.x if warm is not None else phase1_interior(lp)
     Gbar, hbar = _fold(lp)
     x, y, sbar, iters, converged = _newton_core(lp.c, lp.A, lp.b, Gbar, hbar, mu, x0, tol, max_newton)
-    return BarrierSolution(x=x, s=sbar[: lp.q].copy(), y=y, mu=mu, iterations=iters, converged=converged)
+    return BarrierSolution(x=x, s=sbar[: lp.q].copy(), y=y, mu=mu, iterations=iters, converged=converged, lp=lp)
 
 
 def solve_barrier(
@@ -319,4 +321,6 @@ def _follow_path(lp, Gbar, hbar, x0, schedule, tol) -> BarrierSolution:
         this_tol = tol if i == len(schedule) - 1 else CENTERING_TOL
         x, y, sbar, iters, converged = _newton_core(lp.c, lp.A, lp.b, Gbar, hbar, mu, x, this_tol, 80, sbar)
         total_iters += iters
-    return BarrierSolution(x=x, s=sbar[: lp.q].copy(), y=y, mu=schedule[-1], iterations=total_iters, converged=converged)
+    return BarrierSolution(
+        x=x, s=sbar[: lp.q].copy(), y=y, mu=schedule[-1], iterations=total_iters, converged=converged, lp=lp
+    )

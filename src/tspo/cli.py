@@ -74,13 +74,10 @@ def validate_dict(raw: dict) -> list[str]:
     params = raw.get("problem_params")
     if not isinstance(params, dict):
         errors.append("problem_params: required object")
-    methods = raw.get("methods")
-    if not isinstance(methods, list) or not methods:
-        errors.append("methods: nonempty list required")
     else:
-        for m in methods:
-            if m not in METHODS:
-                errors.append(f"methods: unknown method {m!r}")
+        for key, v in params.items():
+            if any(isinstance(e, bool) for e in (v if isinstance(v, list) else [v])):
+                errors.append(f"problem_params.{key}: numbers required, got {v!r}")
     pfs = raw.get("penalty_factors")
     if not isinstance(pfs, list) or not pfs:
         errors.append("penalty_factors: nonempty list required")
@@ -88,6 +85,19 @@ def validate_dict(raw: dict) -> list[str]:
         for v in pfs:
             if not _is_number(v) or v < 0:
                 errors.append(f"penalty_factors: entries must be nonnegative numbers, got {v!r}")
+    if not errors:
+        # The family's own spec checks judge the parameter values: build it once.
+        try:
+            build_problem(problem, params, pfs[0], 0)
+        except (ValueError, TypeError, KeyError) as exc:
+            errors.append(f"problem_params: cannot build {problem} from {params!r}: {exc}")
+    methods = raw.get("methods")
+    if not isinstance(methods, list) or not methods:
+        errors.append("methods: nonempty list required")
+    else:
+        for m in methods:
+            if m not in METHODS:
+                errors.append(f"methods: unknown method {m!r}")
     runs = raw.get("runs", 1)
     if not _is_int(runs) or runs < 1:
         errors.append("runs: positive integer required")

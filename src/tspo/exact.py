@@ -24,6 +24,7 @@ from .errors import NodeLimitExceeded, TooLarge
 from .milp import StandardFormMilp, check_feasibility
 
 INT_TOL = 1e-6
+ENUM_CHUNK = 8192  # candidate assignments per block of ``enumerate_binary``
 # Simplex tolerances, on rows scaled to entries of at most 1.  PIVOT_TOL: the
 # smallest usable pivot entry.  COST_TOL: the most negative reduced cost that
 # still counts as optimal (times 1 + max|c| in phase 2; dual ratios this close
@@ -307,7 +308,7 @@ def solve_milp_bnb(
         nonlocal inc_x, inc_obj
         cand = x.copy()
         cand[int_idx] = np.round(cand[int_idx])
-        if not check_feasibility(milp, cand, 1e-9 * (1.0 + float(np.max(np.abs(cand))))).feasible:
+        if not check_feasibility(milp, cand, 1e-9 * (1.0 + float(np.max(np.abs(cand))))):
             return
         obj = float(milp.c @ cand)
         if obj < inc_obj - 1e-9 or inc_x is None:
@@ -353,15 +354,15 @@ def solve_milp_bnb(
     return ExactSolution(inc_x, inc_obj, Status.OPTIMAL, nodes)
 
 
-def enumerate_binary(milp: StandardFormMilp, chunk: int = 8192) -> ExactSolution:
+def enumerate_binary(milp: StandardFormMilp) -> ExactSolution:
     """Exhaustive scan over {0,1}^d; the oracle all MILP paths are checked against."""
     d = milp.d
     if d > 20:
         raise TooLarge(f"enumeration limited to d<=20 (got {d})")
     shifts = d - 1 - np.arange(d)
     best_x, best_obj = None, np.inf
-    for start in range(0, 2**d, chunk):
-        idx = np.arange(start, min(start + chunk, 2**d), dtype=np.int64)
+    for start in range(0, 2**d, ENUM_CHUNK):
+        idx = np.arange(start, min(start + ENUM_CHUNK, 2**d), dtype=np.int64)
         X = ((idx[:, None] >> shifts) & 1).astype(float)
         ok = np.ones(X.shape[0], dtype=bool)
         if milp.p:

@@ -17,8 +17,9 @@ With no equality constraints the projector collapses to -H^{-1}.
 
 Training pulls one upstream vector u back through each solve, so
 :func:`vjp` returns u' dx/dv for each block without ever materializing a
-Jacobian (the G block alone would be d x (q*d)).  It reads ``c, A, b, G, h``
-of a ``StandardFormMilp`` and ignores ``int_vars``.
+Jacobian (the G block alone would be d x (q*d)).  It differentiates a
+``BarrierSolution`` in the problem it carries, reading ``c, A, b, G, h`` of
+that ``StandardFormMilp`` and ignoring ``int_vars``.
 """
 
 from __future__ import annotations
@@ -28,16 +29,8 @@ from scipy.linalg import LinAlgError
 
 from .barrier import BarrierSolution, chol_lower, chol_solve
 from .errors import NotInterior, SingularSystem
-from .milp import StandardFormMilp
 
 EQ_REG = 1e-12  # added to A H^{-1} A' before factorization
-
-
-def _slacks(lp: StandardFormMilp, sol: BarrierSolution) -> np.ndarray:
-    s = lp.G @ sol.x - lp.h if lp.q else np.zeros(0)
-    if (sol.x <= 0).any() or (lp.q and (s <= 0).any()):
-        raise NotInterior("solution is not strictly interior")
-    return s
 
 
 def _factor(a: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -56,9 +49,11 @@ class _Factors:
     ``Hc`` and ``Mc`` are in scipy's ``(factor, lower)`` form.
     """
 
-    def __init__(self, lp: StandardFormMilp, sol: BarrierSolution):
-        self.lp = lp
-        self.s = _slacks(lp, sol)
+    def __init__(self, sol: BarrierSolution):
+        self.lp = lp = sol.lp
+        self.s = lp.G @ sol.x - lp.h if lp.q else np.zeros(0)
+        if (sol.x <= 0).any() or (lp.q and (self.s <= 0).any()):
+            raise NotInterior("solution is not strictly interior")
         # H = f_xx: the x >= 0 barrier on the diagonal plus the G rows' terms.
         H = np.diag(sol.mu / sol.x**2)
         if lp.q:
@@ -92,15 +87,17 @@ class _Factors:
         return self.HiAT @ self.m_solve(self.lp.A @ inner) - inner
 
 
-def vjp(lp: StandardFormMilp, sol: BarrierSolution, upstream: np.ndarray, blocks=("c",)) -> dict[str, np.ndarray]:
-    """Vector-Jacobian products u' dx/dv for each requested block.
+def vjp(sol: BarrierSolution, upstream: np.ndarray, blocks=("c",)) -> dict[str, np.ndarray]:
+    """Vector-Jacobian products u' dx/dv of the solution ``sol`` for each
+    requested block v of the problem ``sol.lp`` it solved.
 
     Returns arrays shaped like the blocks themselves (length d for c, length
     p for b, length q for h, q x d for G, p x d for A), so the results feed
     straight into template slot backpropagation.
     """
+    lp = sol.lp
     u = np.asarray(upstream, dtype=float).reshape(lp.d)
-    f = _Factors(lp, sol)
+    f = _Factors(sol)
     mu, x, y, s = sol.mu, sol.x, sol.y, f.s
     out: dict[str, np.ndarray] = {}
     # The projector is symmetric, so u' (P g) = (P u)' g for every rhs g.

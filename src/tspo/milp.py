@@ -137,14 +137,21 @@ class ParamTemplate:
 
 
 def instantiate(template: ParamTemplate, theta: np.ndarray) -> StandardFormMilp:
-    """Fill a template's slots with ``theta`` and return the concrete MILP."""
+    """Fill a template's slots with ``theta`` and return the concrete MILP.
+
+    Only the blocks that hold a slot are copied.  The others are the
+    skeleton's own read-only arrays, shared by every instance, so a kept
+    instance costs the memory of its slotted blocks alone.
+    """
     theta = _as_vector(theta, None, "theta")
     if theta.shape[0] != template.t:
         raise DimensionMismatch(f"theta has length {theta.shape[0]}, expected {template.t}")
     if not np.all(np.isfinite(theta)):
         raise NonFinite("theta contains NaN or infinite entries")
     sk = template.skeleton
-    blocks = {"c": sk.c.copy(), "A": sk.A.copy(), "b": sk.b.copy(), "G": sk.G.copy(), "h": sk.h.copy()}
+    blocks = {name: getattr(sk, name) for name in BLOCKS}
+    for name in {s.block for s in template.slots}:
+        blocks[name] = blocks[name].copy()
     for s in template.slots:
         blocks[s.block][s.index] = s.scale * theta[s.theta_index] + s.offset
     return StandardFormMilp(blocks["c"], blocks["A"], blocks["b"], blocks["G"], blocks["h"], sk.int_vars)
@@ -164,25 +171,9 @@ def backprop_slots(template: ParamTemplate, block_grads: dict[str, np.ndarray]) 
     return out
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    eq_violation: float
-    ineq_violation: float
-    bound_violation: float
-    int_violation: float
-    tol: float
-
-    @property
-    def feasible(self) -> bool:
-        return max(self.eq_violation, self.ineq_violation, self.bound_violation, self.int_violation) <= self.tol
-
-    @property
-    def max_violation(self) -> float:
-        return max(self.eq_violation, self.ineq_violation, self.bound_violation, self.int_violation)
-
-
-def check_feasibility(milp: StandardFormMilp, x: Assignment, tol: float = 1e-6) -> FeasibilityReport:
-    """Report the worst violation of each constraint group at ``x``."""
+def check_feasibility(milp: StandardFormMilp, x: Assignment, tol: float = 1e-6) -> bool:
+    """Whether the worst violation of any constraint group at ``x`` (equality,
+    inequality, nonnegativity, integrality) is at most ``tol``."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     x = _as_vector(x, milp.d, "x")
@@ -195,4 +186,4 @@ def check_feasibility(milp: StandardFormMilp, x: Assignment, tol: float = 1e-6) 
         ints = float(np.max(np.abs(x[idx] - np.round(x[idx]))))
     else:
         ints = 0.0
-    return FeasibilityReport(eq, ineq, bound, ints, tol)
+    return max(eq, ineq, bound, ints) <= tol

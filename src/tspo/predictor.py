@@ -94,9 +94,6 @@ def backward(mlp: Mlp, tape: GradientTape, upstream: np.ndarray) -> list[tuple[n
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -115,17 +112,17 @@ def adam_step(mlp: Mlp, state: AdamState, grads) -> None:
     """One Adam update with bias correction; mutates mlp and state in place."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for i, (gw, gb) in enumerate(grads):
         mw, mb = state.m[i]
         vw, vb = state.v[i]
-        mw[:] = state.beta1 * mw + (1 - state.beta1) * gw
-        mb[:] = state.beta1 * mb + (1 - state.beta1) * gb
-        vw[:] = state.beta2 * vw + (1 - state.beta2) * gw**2
-        vb[:] = state.beta2 * vb + (1 - state.beta2) * gb**2
-        mlp.weights[i] -= state.lr * (mw / c1) / (np.sqrt(vw / c2) + state.eps)
-        mlp.biases[i] -= state.lr * (mb / c1) / (np.sqrt(vb / c2) + state.eps)
+        mw[:] = ADAM_BETA1 * mw + (1 - ADAM_BETA1) * gw
+        mb[:] = ADAM_BETA1 * mb + (1 - ADAM_BETA1) * gb
+        vw[:] = ADAM_BETA2 * vw + (1 - ADAM_BETA2) * gw**2
+        vb[:] = ADAM_BETA2 * vb + (1 - ADAM_BETA2) * gb**2
+        mlp.weights[i] -= state.lr * (mw / c1) / (np.sqrt(vw / c2) + ADAM_EPS)
+        mlp.biases[i] -= state.lr * (mb / c1) / (np.sqrt(vb / c2) + ADAM_EPS)
 
 
 def train_mse(mlp: Mlp, instances, epochs: int, lr: float, seed: int = 0) -> Mlp:

@@ -162,7 +162,7 @@ def post_hoc_regret(problem: TwoStageProblem, theta_hat: np.ndarray, theta: np.n
     x2 = problem.extract_x2(s2.x)
     stage2_obj = float(true_milp.c @ x2)
     pen = float(problem.penalty_eval(s1.x, s2.x, theta))
-    feas = check_feasibility(true_milp, s1.x).feasible
+    feas = check_feasibility(true_milp, s1.x)
     return RegretReport(
         preg=stage2_obj + pen - opt.objective,
         stage1_obj=s1.objective,
@@ -237,15 +237,12 @@ def surrogate_loss_grad(
         warm[:] = (sol1, sol2)
 
     t1 = problem.stage1.t
-    milp2 = problem.stage2_build(sol1.x, theta)
     u2 = np.asarray(problem.dPReg_dx2(sol1.x, sol2.x, theta), dtype=float)
     try:
-        vjps2 = kkt.vjp(milp2, sol2, u2, blocks=_slot_blocks(problem.stage2, t1))
+        vjps2 = kkt.vjp(sol2, u2, blocks=_slot_blocks(problem.stage2, t1))
         via_stage2 = backprop_slots(problem.stage2, vjps2)[t1:]  # d(regret)/d(x1) through stage 2
         u1 = via_stage2 + np.asarray(problem.dPReg_dx1(sol1.x, sol2.x, theta), dtype=float)
-
-        milp1 = instantiate(problem.stage1, theta_hat)
-        vjps1 = kkt.vjp(milp1, sol1, u1, blocks=_slot_blocks(problem.stage1))
+        vjps1 = kkt.vjp(sol1, u1, blocks=_slot_blocks(problem.stage1))
     except (NumericalFailure, SingularSystem, NotInterior) as exc:
         raise SolverFailure(f"{problem.name}: gradient assembly failed: {exc}") from exc
     dtheta = backprop_slots(problem.stage1, vjps1)
@@ -375,7 +372,7 @@ def proposition1_check(problem: TwoStageProblem, theta_hat, theta, correction) -
     s1 = stage1_solve(problem, theta_hat)
     x_corr = np.asarray(correction(s1.x), dtype=float)
     true_milp = instantiate(problem.stage1, theta)
-    if not check_feasibility(true_milp, x_corr).feasible:
+    if not check_feasibility(true_milp, x_corr):
         raise CorrectionInfeasible("correction output infeasible under true parameters")
     s2 = stage2_solve(problem, s1.x, theta)
     x2 = problem.extract_x2(s2.x)

@@ -71,7 +71,7 @@ def test_a1_gradient_fidelity():
         # Analytic Jacobians assembled from vjp rows (row i is the vjp of
         # e_i), against central differences over warm re-solves.
         for block in "chG" + ("bA" if p else ""):
-            analytic = np.array([kkt.vjp(lp, sol, e, blocks=(block,))[block].ravel() for e in np.eye(d)])
+            analytic = np.array([kkt.vjp(sol, e, blocks=(block,))[block].ravel() for e in np.eye(d)])
             data = getattr(lp, block)
             J = finite_diff_jacobian(
                 lambda v: resolve(dataclasses.replace(lp, **{block: v.reshape(data.shape)})), data.ravel()

@@ -50,7 +50,7 @@ class TestRelax:
         results = []
         for m in (milp, lp):
             sol = solve_barrier(m, 1e-3)
-            grads = kkt.vjp(m, sol, u, blocks=blocks)
+            grads = kkt.vjp(sol, u, blocks=blocks)
             ex = solve_lp_exact(m)
             arrays = [phase1_interior(m), sol.x, sol.s, sol.y, ex.x, np.array([ex.objective])]
             results.append([a.tobytes() for a in arrays + [grads[k] for k in blocks]] + [sol.iterations, ex.status])

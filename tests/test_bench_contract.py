@@ -9,6 +9,7 @@ methods positionally, so a swapped argument would check a wrong Stage 2.
 These checks fail instead.
 """
 
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from tspo import barrier, cli, dataio, problems, two_stage
-from tspo.exact import solve_milp_bnb
+from tspo.exact import ExactSolution, solve_milp_bnb
 from tspo.milp import instantiate
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -51,6 +52,19 @@ def test_every_patched_name_exists():
     targets += [(barrier, "phase1_interior"), (two_stage.TwoStageProblem, "stage2_build")]
     missing = [f"{owner.__name__}.{attr}" for owner, attr in targets if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_solution_fields_read_by_perfbench():
+    # The stage-span wrapper records iterations and converged of each barrier
+    # solve; the spans, Probes and checks.py read x, status and node_count of
+    # exact solutions; checks.py compares these RegretReport fields with
+    # HiGHS.  A renamed field would fail only inside the benchmark.
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert {"iterations", "converged"} <= names(barrier.BarrierSolution)
+    assert {"x", "status", "node_count"} <= names(ExactSolution)
+    assert {"preg", "stage1_obj", "stage2_obj", "penalty", "true_opt"} <= names(two_stage.RegretReport)
 
 
 def test_stage2_build_positional_parameters():

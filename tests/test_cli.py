@@ -98,6 +98,24 @@ class TestValidate:
             cfg = base_config()
             cfg["training"]["track_validation"] = flag
             assert validate_dict(cfg) == []
+        # problem_params used to go unchecked: each of these printed `config
+        # ok`, and `run` died with a raw ValueError or KeyError (or, for
+        # d=true, silently built d=1).
+        bad_params = [
+            ("knapsack", {"d": "abc"}),
+            ("knapsack", {"d": -3}),
+            ("knapsack", {"cap": "x"}),
+            ("knapsack", {"d": True}),
+            ("alloy", {"req": "bronze"}),
+            ("facility", {"capacity": [1, -2]}),
+            ("facility", {"capacity": [1, True]}),
+        ]
+        for problem, params in bad_params:
+            flagged = tmp_path / "params.json"
+            flagged.write_text(json.dumps(base_config(problem=problem, problem_params=params)))
+            assert main(["validate", str(flagged)]) == 2, params
+            assert main(["run", str(flagged), "--out", str(tmp_path / "out")]) == 2, params
+            assert any(e.startswith("problem_params") for e in validate_dict(json.loads(flagged.read_text())))
 
 
 class TestBuildProblem:

@@ -77,7 +77,7 @@ class TestSolveLpExact:
         for seed in range(10):
             lp, _ = gen_feasible_lp(RandomLpSpec(d=4, p=2, q=4), seed + 40)
             sol = solve_lp_exact(lp)
-            assert check_feasibility(lp, sol.x, tol=1e-6).feasible
+            assert check_feasibility(lp, sol.x, tol=1e-6)
 
     def test_infeasible_and_unbounded(self):
         bad = StandardFormMilp([1.0], np.zeros((0, 1)), [], [[1.0], [-1.0]], [1.0, 0.0])
@@ -107,7 +107,7 @@ class TestSolveLpExact:
                 assert sol.status is ref.status, (seed, depth)
                 if ref.status is Status.OPTIMAL:
                     assert sol.objective == pytest.approx(ref.objective, abs=1e-6), (seed, depth)
-                    assert check_feasibility(bounded, sol.x, tol=1e-6).feasible
+                    assert check_feasibility(bounded, sol.x, tol=1e-6)
                 checked += 1
         assert checked >= 40
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tspo import predictor
 from tspo.errors import DimensionMismatch, EmptyTrainSet, SingularSystem, StaleTape
 from tspo.predictor import (
+    ADAM_EPS,
     KnnModel,
     Mlp,
     MlpModel,
@@ -129,7 +130,7 @@ class TestAdam:
         state = init_adam(net, lr=0.01)
         g = np.array([[0.37]])
         adam_step(net, state, [(g, np.array([0.0]))])
-        assert net.weights[0][0, 0] == pytest.approx(-0.01 * 0.37 / (0.37 + state.eps), rel=1e-9)
+        assert net.weights[0][0, 0] == pytest.approx(-0.01 * 0.37 / (0.37 + ADAM_EPS), rel=1e-9)
 
     def test_constant_gradient_step_magnitude(self):
         net = Mlp((1, 1), [np.array([[0.0]])], [np.array([0.0])])

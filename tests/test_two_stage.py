@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tspo import barrier, cli, dataio, two_stage
-from tspo.errors import CorrectionInfeasible
+from tspo.errors import CorrectionInfeasible, SolverFailure
 from tspo.exact import enumerate_binary, solve_milp_bnb
 from tspo.milp import instantiate
 from tspo.predictor import MlpModel, init_mlp
@@ -231,6 +231,27 @@ class TestSurrogateGradient:
             assert err <= 5e-3
             checked += 1
         assert checked == 4
+
+    @pytest.mark.parametrize("family", ["alloy", "knapsack", "nsp", "stocking", "facility"])
+    def test_each_stage_built_once_per_step(self, family, monkeypatch):
+        # The KKT step differentiates the LP each stage solve built, carried on
+        # its BarrierSolution: one step builds Stage 1 once and Stage 2 once
+        # (stage2_build), where rebuilding both for the vjp made four builds.
+        prob, theta, shift = self.fd_instance(family)
+        built = []
+        real = two_stage.instantiate
+        monkeypatch.setattr(two_stage, "instantiate", lambda tpl, vec: built.append(tpl) or real(tpl, vec))
+        for seed in range(1, 25):
+            net = init_mlp((3, 4, 1), seed=seed + 50)
+            net.biases[-1] += shift
+            built.clear()
+            try:
+                surrogate_loss_grad(prob, net, np.random.default_rng(seed).normal(size=(len(theta), 3)), theta, 1e-3)
+            except SolverFailure:
+                continue  # random net made a stage unsolvable; try another seed
+            assert len(built) == 2 and built[0] is prob.stage1 and built[1] is prob.stage2
+            return
+        pytest.fail("no solvable step in 24 seeds")
 
     def test_zero_upstream_through_zero_network(self):
         spec = KnapsackSpec(d=2, cap=6.0, sigma=0.25)
