@@ -7,17 +7,9 @@ regret with a penalty-aware second optimization stage.
 
 from .barrier import BarrierSolution, phase1_interior, solve_barrier, solve_fixed_mu
 from .exact import ExactSolution, Status, enumerate_binary, solve_lp_exact, solve_milp_bnb
-from .milp import (
-    Assignment,
-    ParamTemplate,
-    Slot,
-    StandardFormMilp,
-    check_feasibility,
-    instantiate,
-)
+from .milp import ParamTemplate, Slot, StandardFormMilp, check_feasibility, instantiate
 
 __all__ = [
-    "Assignment",
     "BarrierSolution",
     "ExactSolution",
     "ParamTemplate",

@@ -31,13 +31,15 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import Infeasible, NumericalFailure
-from .milp import Assignment, StandardFormMilp
+from .milp import StandardFormMilp
 
 # Geometric mu schedule and interior-point safeguards.
 MU_DECREASE = 0.2
 BOUNDARY_FRACTION = 0.995
 ITERATE_NORM_LIMIT = 1e8
 NEWTON_REG = 1e-10
+# Newton iterations per barrier stage before it is reported as not converged.
+MAX_NEWTON = 80
 # Scaled-residual tolerance of the path's intermediate stages and of phase-1.
 CENTERING_TOL = 1e-1
 
@@ -98,7 +100,7 @@ def _chol_with_reg(H: np.ndarray):
     raise NumericalFailure("Newton system singular beyond regularization")
 
 
-def _newton_core(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0=None):
+def _newton_core(c, A, b, Gbar, hbar, mu, x0, tol, sbar0=None):
     """Damped Newton on the fixed-mu stationarity system.
 
     All barrier terms are rows of ``Gbar`` (slacks ``Gbar x - hbar > 0``);
@@ -136,7 +138,7 @@ def _newton_core(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0=None):
         return rd_max / c_scale + rp_max / b_scale, (rd, rp, rd_max, rp_max, w)
 
     base, (rd, rp, rd_max, rp_max, w) = scaled_residual(x, y, sbar)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_NEWTON + 1):
         if rd_max <= tol_d and rp_max <= tol_p:
             return x, y, sbar, it - 1, True
         Gw = Gbar * w[:, None]
@@ -179,7 +181,7 @@ def _newton_core(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0=None):
         rd, rp, rd_max, rp_max, w = trial
         if float(np.abs(x).max()) > ITERATE_NORM_LIMIT:
             raise NumericalFailure("iterate norm exceeded limit; relaxation appears unbounded")
-    return x, y, sbar, max_iter, False
+    return x, y, sbar, MAX_NEWTON, False
 
 
 def _fold(lp: StandardFormMilp) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +207,7 @@ def _quick_interior(lp: StandardFormMilp) -> np.ndarray | None:
     return None
 
 
-def phase1_interior(lp: StandardFormMilp) -> Assignment:
+def phase1_interior(lp: StandardFormMilp) -> np.ndarray:
     """Find a strictly interior point of {x > 0, Gx > h, Ax = b}.
 
     Minimizes a single infeasibility slack ``t`` added to every barrier
@@ -247,7 +249,7 @@ def phase1_interior(lp: StandardFormMilp) -> Assignment:
     mu = 1.0
     saux = None
     while True:
-        z, _, saux, _, _ = _newton_core(caux, Aaux, lp.b, Gaux, haux, mu, z, CENTERING_TOL, 80, saux)
+        z, _, saux, _, _ = _newton_core(caux, Aaux, lp.b, Gaux, haux, mu, z, CENTERING_TOL, saux)
         if z[-1] < stop_at or mu <= 1e-9:
             break
         mu *= MU_DECREASE
@@ -261,15 +263,13 @@ def solve_fixed_mu(
     mu: float,
     warm: BarrierSolution | None = None,
     tol: float = 1e-8,
-    max_newton: int = 80,
 ) -> BarrierSolution:
-    """Solve the relaxation at one fixed barrier weight."""
+    """Solve the relaxation at one fixed barrier weight, from ``warm.x`` or
+    else from a phase-1 point."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     x0 = warm.x if warm is not None else phase1_interior(lp)
-    Gbar, hbar = _fold(lp)
-    x, y, sbar, iters, converged = _newton_core(lp.c, lp.A, lp.b, Gbar, hbar, mu, x0, tol, max_newton)
-    return BarrierSolution(x=x, s=sbar[: lp.q].copy(), y=y, mu=mu, iterations=iters, converged=converged, lp=lp)
+    return _follow_path(lp, *_fold(lp), x0, [mu], tol)
 
 
 def solve_barrier(
@@ -319,7 +319,7 @@ def _follow_path(lp, Gbar, hbar, x0, schedule, tol) -> BarrierSolution:
     converged = False
     for i, mu in enumerate(schedule):
         this_tol = tol if i == len(schedule) - 1 else CENTERING_TOL
-        x, y, sbar, iters, converged = _newton_core(lp.c, lp.A, lp.b, Gbar, hbar, mu, x, this_tol, 80, sbar)
+        x, y, sbar, iters, converged = _newton_core(lp.c, lp.A, lp.b, Gbar, hbar, mu, x, this_tol, sbar)
         total_iters += iters
     return BarrierSolution(
         x=x, s=sbar[: lp.q].copy(), y=y, mu=schedule[-1], iterations=total_iters, converged=converged, lp=lp

@@ -29,6 +29,13 @@ log = logging.getLogger("tspo")
 PROBLEMS = ("alloy", "knapsack", "nsp", "stocking", "facility")
 METHODS = ("2s", "nn", "ridge", "knn")
 REQ_PRESETS = {"brass": [627.54, 369.72], "titanium": [0.8, 60.0, 40.0, 2.5]}
+# ``training`` keys that set a TrainConfig field, with the type each becomes;
+# the others keep TrainConfig's defaults.
+TRAIN_FIELDS = {"epochs": int, "lr": float, "mu_cutoff": float, "hidden": tuple, "track_validation": bool}
+# The keys each config object may hold; ``validate_dict`` rejects any other.
+DATA_KEYS = ("csv", "synthetic", "seed")
+SYNTHETIC_KEYS = ("m", "n", "mapping", "noise_std")
+TRAINING_KEYS = (*TRAIN_FIELDS, "nn_lr")
 
 
 @dataclass
@@ -43,15 +50,13 @@ class ExperimentConfig:
     training: dict = field(default_factory=dict)
     ridge_lambda: float = 1.0
     knn_k: int = 5
-    output: str = "results"
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         errors = validate_dict(raw)
         if errors:
             raise ConfigError(errors)
-        known = {f: raw[f] for f in cls.__dataclass_fields__ if f in raw}
-        return cls(**known)
+        return cls(**raw)
 
 
 def _is_int(v) -> bool:
@@ -61,6 +66,10 @@ def _is_int(v) -> bool:
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _unknown_keys(obj: dict, known, where: str) -> list[str]:
+    return [f"{where}{key}: unknown key" for key in obj if key not in known]
 
 
 def validate_dict(raw: dict) -> list[str]:
@@ -107,30 +116,34 @@ def validate_dict(raw: dict) -> list[str]:
     data = raw.get("data")
     if not isinstance(data, dict):
         errors.append("data: required object")
-    elif "csv" in data:
-        if not isinstance(data["csv"], str):
-            errors.append("data.csv: path string required")
-    elif "synthetic" in data:
-        syn = data["synthetic"]
-        if not isinstance(syn, dict):
-            errors.append("data.synthetic: object required")
-        else:
-            for key in ("m", "n"):
-                if not _is_int(syn.get(key)) or syn[key] < 1:
-                    errors.append(f"data.synthetic.{key}: positive integer required")
-            if "mapping" in syn and syn["mapping"] not in dataio.MAPPINGS:
-                errors.append(f"data.synthetic.mapping: must be one of {dataio.MAPPINGS}")
-            noise = syn.get("noise_std", 0.0)
-            if not _is_number(noise) or not 0 <= noise < math.inf:
-                errors.append(f"data.synthetic.noise_std: nonnegative number required, got {noise!r}")
-        if not _is_int(data.get("seed", 0)):
-            errors.append("data.seed: integer required")
     else:
-        errors.append("data: needs either a `synthetic` block or a `csv` path")
+        errors += _unknown_keys(data, DATA_KEYS, "data.")
+        if "csv" in data:
+            if not isinstance(data["csv"], str):
+                errors.append("data.csv: path string required")
+        elif "synthetic" in data:
+            syn = data["synthetic"]
+            if not isinstance(syn, dict):
+                errors.append("data.synthetic: object required")
+            else:
+                errors += _unknown_keys(syn, SYNTHETIC_KEYS, "data.synthetic.")
+                for key in ("m", "n"):
+                    if not _is_int(syn.get(key)) or syn[key] < 1:
+                        errors.append(f"data.synthetic.{key}: positive integer required")
+                if "mapping" in syn and syn["mapping"] not in dataio.MAPPINGS:
+                    errors.append(f"data.synthetic.mapping: must be one of {dataio.MAPPINGS}")
+                noise = syn.get("noise_std")
+                if "noise_std" in syn and (not _is_number(noise) or not 0 <= noise < math.inf):
+                    errors.append(f"data.synthetic.noise_std: nonnegative number required, got {noise!r}")
+            if not _is_int(data.get("seed", 0)):
+                errors.append("data.seed: integer required")
+        else:
+            errors.append("data: needs either a `synthetic` block or a `csv` path")
     training = raw.get("training", {})
     if not isinstance(training, dict):
         errors.append("training: object required")
     else:
+        errors += _unknown_keys(training, TRAINING_KEYS, "training.")
         for key, kind in (("lr", float), ("nn_lr", float), ("mu_cutoff", float), ("epochs", int)):
             if key in training:
                 val = training[key]
@@ -142,14 +155,14 @@ def validate_dict(raw: dict) -> list[str]:
             or not all(_is_int(v) and v > 0 for v in training["hidden"])
         ):
             errors.append("training.hidden: list of positive integers required")
-        if not isinstance(training.get("track_validation", False), bool):
+        if "track_validation" in training and not isinstance(training["track_validation"], bool):
             errors.append("training.track_validation: true or false required")
     for key in ("ridge_lambda",):
         if key in raw and (not _is_number(raw[key]) or raw[key] < 0):
             errors.append(f"{key}: nonnegative number required")
     if "knn_k" in raw and (not _is_int(raw["knn_k"]) or raw["knn_k"] < 1):
         errors.append("knn_k: positive integer required")
-    return errors
+    return errors + _unknown_keys(raw, ExperimentConfig.__dataclass_fields__, "")
 
 
 def build_problem(name: str, params: dict, penalty_factor: float, seed: int):
@@ -208,23 +221,14 @@ def build_problem(name: str, params: dict, penalty_factor: float, seed: int):
 
 def _fit_method(method: str, problem, train_set, cfg: ExperimentConfig, seed: int):
     tr = cfg.training
-    hidden = tuple(tr.get("hidden", [16, 16, 16]))
-    epochs = int(tr.get("epochs", 12))
+    config = TrainConfig(seed=seed, **{key: cast(tr[key]) for key, cast in TRAIN_FIELDS.items() if key in tr})
     if method == "2s":
-        config = TrainConfig(
-            epochs=epochs,
-            lr=float(tr.get("lr", 1e-3)),
-            mu_cutoff=float(tr.get("mu_cutoff", 1e-3)),
-            hidden=hidden,
-            seed=seed,
-            track_validation=tr.get("track_validation", False),
-        )
         net, history = train(problem, list(train_set), config)
         return as_predict_fn(MlpModel(net)), history
     if method == "nn":
         m = train_set[0][0].shape[1]
-        net = init_mlp((m, *hidden, 1), seed=seed)
-        train_mse(net, list(train_set), epochs=epochs, lr=float(tr.get("nn_lr", 1e-3)), seed=seed)
+        net = init_mlp((m, *config.hidden, 1), seed=seed)
+        train_mse(net, list(train_set), epochs=config.epochs, lr=float(tr.get("nn_lr", 1e-3)), seed=seed)
         return as_predict_fn(MlpModel(net)), None
     if method == "ridge":
         return as_predict_fn(RidgeModel(cfg.ridge_lambda).fit(list(train_set))), None
@@ -250,13 +254,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, base_seed: int = 0) -> d
                 dataset = dataio.load_csv(cfg.data["csv"])
             else:
                 syn = cfg.data["synthetic"]
-                synth = problems.synth_spec_for(
-                    spec_obj,
-                    m=int(syn["m"]),
-                    n=int(syn["n"]),
-                    mapping=syn.get("mapping", "sine-mix"),
-                    noise_std=float(syn.get("noise_std", 0.02)),
-                )
+                optional = {key: syn[key] for key in ("mapping", "noise_std") if key in syn}
+                synth = problems.synth_spec_for(spec_obj, m=syn["m"], n=syn["n"], **optional)
                 dataset = dataio.generate(synth, seed=int(cfg.data.get("seed", 0)) + seed)
             train_set, test_set = dataio.split(dataset, cfg.train_fraction, seed=seed)
             for method in cfg.methods:

@@ -57,7 +57,6 @@ class Dataset:
     instances: tuple[tuple[np.ndarray, np.ndarray], ...]
     t: int
     m: int
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -96,7 +95,7 @@ def generate(spec: SynthSpec, seed: int) -> Dataset:
         F.setflags(write=False)
         theta.setflags(write=False)
         instances.append((F, theta))
-    return Dataset(tuple(instances), spec.t, spec.m, provenance=f"synthetic:{spec.mapping}:seed={seed}")
+    return Dataset(tuple(instances), spec.t, spec.m)
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -106,10 +105,8 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
     n = len(dataset)
     order = np.random.default_rng(seed).permutation(n)
     n_train = int(train_fraction * n + 0.5)
-    pick = lambda idx, tag: Dataset(
-        tuple(dataset.instances[i] for i in idx), dataset.t, dataset.m, f"{dataset.provenance}:{tag}"
-    )
-    return pick(order[:n_train], "train"), pick(order[n_train:], "test")
+    pick = lambda idx: Dataset(tuple(dataset.instances[i] for i in idx), dataset.t, dataset.m)
+    return pick(order[:n_train]), pick(order[n_train:])
 
 
 def save_csv(dataset: Dataset, path: str) -> None:
@@ -166,4 +163,4 @@ def load_csv(path: str) -> Dataset:
         F.setflags(write=False)
         theta.setflags(write=False)
         instances.append((F, theta))
-    return Dataset(tuple(instances), t, m, provenance=f"file:{path}")
+    return Dataset(tuple(instances), t, m)

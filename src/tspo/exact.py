@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -25,6 +25,7 @@ from .milp import StandardFormMilp, check_feasibility
 
 INT_TOL = 1e-6
 ENUM_CHUNK = 8192  # candidate assignments per block of ``enumerate_binary``
+NODE_LIMIT = 10**6  # LP solves after which ``solve_milp_bnb`` gives up
 # Simplex tolerances, on rows scaled to entries of at most 1.  PIVOT_TOL: the
 # smallest usable pivot entry.  COST_TOL: the most negative reduced cost that
 # still counts as optimal (times 1 + max|c| in phase 2; dual ratios this close
@@ -276,11 +277,7 @@ def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def solve_milp_bnb(
-    milp: StandardFormMilp,
-    node_limit: int = 10**6,
-    log: list | None = None,
-) -> ExactSolution:
+def solve_milp_bnb(milp: StandardFormMilp) -> ExactSolution:
     """Best-first branch and bound on LP relaxations.
 
     Branches on the most fractional integer variable with floor/ceil bound
@@ -290,13 +287,10 @@ def solve_milp_bnb(
     smallest of those found is kept, so reruns are deterministic.  Which
     incumbents are found depends on the LP vertices along the search, so
     with tied optima this need not be the lexicographically smallest optimum.
+    An LP (no ``int_vars``) is solved at the root, in one node.  Raises
+    NodeLimitExceeded after ``NODE_LIMIT`` LP solves.
     """
     int_idx = np.array(sorted(milp.int_vars), dtype=int)
-    if int_idx.size == 0:
-        lp_sol = solve_lp_exact(milp)
-        # Solutions get cached (true optima); they should not hold a tableau.
-        return replace(lp_sol, node_count=1, tableau=None)
-
     counter = itertools.count()
     # (bound estimate, tiebreak, warm start of solve_lp_exact; None at the root)
     heap: list[tuple[float, int, tuple | None]] = [(-np.inf, next(counter), None)]
@@ -320,21 +314,16 @@ def solve_milp_bnb(
         bound_est, _, warm = heapq.heappop(heap)
         if bound_est >= inc_obj - 1e-9:
             continue
-        if nodes >= node_limit:
-            raise NodeLimitExceeded(f"branch and bound exceeded {node_limit} nodes")
+        if nodes >= NODE_LIMIT:
+            raise NodeLimitExceeded(f"branch and bound exceeded {NODE_LIMIT} nodes")
         nodes += 1
         sol = solve_lp_exact(milp, warm)
         if sol.status is Status.INFEASIBLE:
-            if log is not None:
-                log.append({"bound": np.inf, "incumbent": inc_obj, "integral": False})
             continue
         if sol.status is Status.UNBOUNDED:
             return ExactSolution(np.full(milp.d, np.nan), -np.inf, Status.UNBOUNDED, nodes)
         frac = np.abs(sol.x[int_idx] - np.round(sol.x[int_idx]))
-        integral = bool(np.max(frac, initial=0.0) <= INT_TOL)
-        if log is not None:
-            log.append({"bound": sol.objective, "incumbent": inc_obj, "integral": integral})
-        if integral:
+        if np.max(frac, initial=0.0) <= INT_TOL:
             try_incumbent(sol.x)
             continue
         if warm is None:

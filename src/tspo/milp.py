@@ -10,7 +10,7 @@ flipped back only when results are reported.  There is no separate LP type:
 the LP solvers (``barrier``, ``exact.solve_lp_exact``) and ``kkt`` read the
 same ``StandardFormMilp`` and ignore its ``int_vars``.
 
-A ``ParamTemplate`` is a MILP skeleton plus affine slots mapping a parameter
+A ``ParamTemplate`` is a MILP skeleton plus linear slots mapping a parameter
 vector into entries of the coefficient blocks, which is how
 unknown-parameter problems are represented before prediction.
 """
@@ -22,9 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-
-# Decision vectors are plain float arrays.
-Assignment = np.ndarray
 
 BLOCKS = ("c", "A", "b", "G", "h")
 
@@ -97,13 +94,12 @@ class StandardFormMilp:
 
 @dataclass(frozen=True)
 class Slot:
-    """One affine coefficient slot: block entry = scale * theta[theta_index] + offset."""
+    """One linear coefficient slot: block entry = scale * theta[theta_index]."""
 
     block: str
     index: int | tuple[int, int]
     theta_index: int
     scale: float = 1.0
-    offset: float = 0.0
 
     def __post_init__(self):
         if self.block not in BLOCKS:
@@ -112,7 +108,7 @@ class Slot:
 
 @dataclass(frozen=True)
 class ParamTemplate:
-    """A MILP skeleton with affine parameter slots.
+    """A MILP skeleton with linear parameter slots.
 
     Instantiating with a finite parameter vector of length ``t`` yields a
     valid ``StandardFormMilp``; entries not covered by a slot are taken from
@@ -153,7 +149,7 @@ def instantiate(template: ParamTemplate, theta: np.ndarray) -> StandardFormMilp:
     for name in {s.block for s in template.slots}:
         blocks[name] = blocks[name].copy()
     for s in template.slots:
-        blocks[s.block][s.index] = s.scale * theta[s.theta_index] + s.offset
+        blocks[s.block][s.index] = s.scale * theta[s.theta_index]
     return StandardFormMilp(blocks["c"], blocks["A"], blocks["b"], blocks["G"], blocks["h"], sk.int_vars)
 
 
@@ -171,7 +167,7 @@ def backprop_slots(template: ParamTemplate, block_grads: dict[str, np.ndarray]) 
     return out
 
 
-def check_feasibility(milp: StandardFormMilp, x: Assignment, tol: float = 1e-6) -> bool:
+def check_feasibility(milp: StandardFormMilp, x: np.ndarray, tol: float = 1e-6) -> bool:
     """Whether the worst violation of any constraint group at ``x`` (equality,
     inequality, nonnegativity, integrality) is at most ``tol``."""
     if tol < 0:

@@ -34,6 +34,8 @@ class AlloySpec:
     sigma: np.ndarray  # last-minute surcharge factors, length K
 
     def __post_init__(self):
+        if self.K < 1 or self.M < 1:
+            raise ValueError("alloy needs K >= 1 sites and M >= 1 metals")
         cost = np.asarray(self.cost, dtype=float)
         req = np.asarray(self.req, dtype=float)
         sigma = np.asarray(self.sigma, dtype=float)
@@ -179,6 +181,8 @@ class NspSpec:
     gamma: np.ndarray  # reassignment penalty factors, length n*k*s
 
     def __post_init__(self):
+        if min(self.n, self.k, self.s) < 1:
+            raise ValueError("rostering needs n, k, s >= 1")
         d = self.n * self.k * self.s
         P = np.asarray(self.P, dtype=float)
         mm = np.asarray(self.m, dtype=float)
@@ -308,6 +312,8 @@ class StockingSpec:
         surcharge = np.asarray(self.surcharge, dtype=float)
         if not (profit.shape == size.shape == surcharge.shape) or profit.ndim != 1:
             raise ValueError("profit, size, surcharge must be equal-length vectors")
+        if profit.shape[0] < 1:
+            raise ValueError("stocking needs d >= 1 products")
         if np.any(size < 0) or np.any(surcharge < 0):
             raise ValueError("sizes and surcharges must be nonnegative")
         object.__setattr__(self, "profit", profit)

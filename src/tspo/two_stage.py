@@ -81,7 +81,7 @@ class RegretReport:
     stage1_feasible_under_truth: bool
 
 
-# Share of the training set, taken from its end, that tracks validation regret.
+# Share of the training set, taken from its end, whose regret ``train`` tracks.
 VAL_FRACTION = 0.2
 
 
@@ -92,7 +92,7 @@ class TrainConfig:
     mu_cutoff: float = 1e-3
     hidden: tuple[int, ...] = (16, 16, 16)
     seed: int = 0
-    track_validation: bool = True
+    track_validation: bool = False
 
 
 def true_optimum(problem: TwoStageProblem, theta: np.ndarray) -> ExactSolution:
@@ -195,14 +195,14 @@ def surrogate_loss(
     features: np.ndarray,
     theta: np.ndarray,
     mu_cutoff: float = 1e-3,
-    tov: float = 0.0,
 ) -> float:
-    """Value of the barrier-relaxed regret (used by gradient checks)."""
+    """Value of the barrier-relaxed regret, up to the constant true optimum
+    (used by gradient checks)."""
     theta_hat, _ = forward(net, features)
     sol1, sol2 = _surrogate_stages(problem, theta_hat, theta, mu_cutoff)
     true_milp = instantiate(problem.stage1, theta)
     x2 = problem.extract_x2(sol2.x)
-    return float(true_milp.c @ x2) + float(problem.penalty_eval(sol1.x, sol2.x, theta)) - tov
+    return float(true_milp.c @ x2) + float(problem.penalty_eval(sol1.x, sol2.x, theta))
 
 
 def _slot_blocks(template: ParamTemplate, first: int = 0) -> tuple[str, ...]:
@@ -265,9 +265,10 @@ def train(problem: TwoStageProblem, instances, config: TrainConfig) -> tuple[Mlp
     Per-instance stochastic steps in a freshly shuffled order each epoch;
     instances whose relaxations fail to solve are skipped with a warning.
     After an instance's first converged step, its barrier solves start warm
-    from that step's solutions.  The history records exact mean regret on a
-    fixed validation slice (the last fifth of the training set) after each
-    epoch.
+    from that step's solutions.  With ``track_validation`` the history
+    records exact mean regret after each epoch on a fixed slice: the last
+    fifth of the training set, which training also steps on, so it is not a
+    held-out validation set.
     """
     if not len(instances):
         raise ValueError("empty training set")

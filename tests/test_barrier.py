@@ -121,7 +121,7 @@ class TestFixedMu:
         # min 0*x with only x >= 1: the barrier rewards x -> inf; guard must trip
         lp = StandardFormMilp([0.0], np.zeros((0, 1)), [], [[1.0]], [1.0])
         with pytest.raises(NumericalFailure, match="unbounded"):
-            solve_fixed_mu(lp, 1.0, tol=1e-12, max_newton=500)
+            solve_fixed_mu(lp, 1.0, tol=1e-12)
 
     def test_bounded_variant_hits_analytic_center(self):
         # adding a box x <= 3 makes the mu=1 problem the analytic center of [1, 3]
@@ -271,9 +271,9 @@ class TestInexactCentering:
         calls = []
         real = barrier._newton_core
 
-        def spy(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0=None):
+        def spy(c, A, b, Gbar, hbar, mu, x0, tol, sbar0=None):
             calls.append((c.shape[0], mu, tol))
-            return real(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0)
+            return real(c, A, b, Gbar, hbar, mu, x0, tol, sbar0)
 
         lp, _ = gen_feasible_lp(RandomLpSpec(d=4, p=1, q=5), 3)
         monkeypatch.setattr(barrier, "_newton_core", spy)
@@ -354,13 +354,13 @@ class TestWarmStart:
         real = barrier._newton_core
         warm_calls = []
 
-        def spy(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0=None):
+        def spy(c, A, b, Gbar, hbar, mu, x0, tol, sbar0=None):
             if x0 is warm.x:
                 warm_calls.append(mu)
                 if failure == "raises":
                     raise NumericalFailure("forced")
-                return x0, np.zeros(A.shape[0]), Gbar @ x0 - hbar, max_iter, False
-            return real(c, A, b, Gbar, hbar, mu, x0, tol, max_iter, sbar0)
+                return x0, np.zeros(A.shape[0]), Gbar @ x0 - hbar, barrier.MAX_NEWTON, False
+            return real(c, A, b, Gbar, hbar, mu, x0, tol, sbar0)
 
         monkeypatch.setattr(barrier, "_newton_core", spy)
         sol = solve_barrier(lp, 1e-3, warm=warm)

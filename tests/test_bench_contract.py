@@ -40,6 +40,11 @@ def test_surrogate_loss_grad_positional_parameters():
     assert positional(two_stage.surrogate_loss_grad)[:5] == ["problem", "net", "features", "theta", "mu_cutoff"]
 
 
+def test_surrogate_loss_positional_parameters():
+    # checks.py's finite differences call it with these five arguments, by position.
+    assert positional(two_stage.surrogate_loss)[:5] == ["problem", "net", "features", "theta", "mu_cutoff"]
+
+
 def test_mode_position_of_the_stage_solves():
     # The stage wrappers read ``mode`` from args[2] and args[3].
     assert positional(two_stage.stage1_solve).index("mode") == 2

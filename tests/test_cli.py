@@ -109,6 +109,14 @@ class TestValidate:
             ("alloy", {"req": "bronze"}),
             ("facility", {"capacity": [1, -2]}),
             ("facility", {"capacity": [1, True]}),
+            # Empty dimensions: nsp s=0 crashed `validate` with an IndexError;
+            # the others validated and then failed or ran an empty problem.
+            ("alloy", {"K": 0}),
+            ("alloy", {"req": []}),
+            ("nsp", {"n": 0}),
+            ("nsp", {"s": 0}),
+            ("stocking", {"d": 0}),
+            ("stocking", {"profit": []}),
         ]
         for problem, params in bad_params:
             flagged = tmp_path / "params.json"
@@ -116,6 +124,25 @@ class TestValidate:
             assert main(["validate", str(flagged)]) == 2, params
             assert main(["run", str(flagged), "--out", str(tmp_path / "out")]) == 2, params
             assert any(e.startswith("problem_params") for e in validate_dict(json.loads(flagged.read_text())))
+        # Unknown keys used to be ignored, so a misspelt one ran with defaults
+        # (e.g. 12 epochs for {"epoch": 50}).
+        unknown_keys = [
+            ((), "output", "elsewhere"),
+            (("training",), "epoch", 50),
+            (("data", "synthetic"), "noise", 5.0),
+            ((), "penalty_factor", 0.5),
+        ]
+        for path, key, value in unknown_keys:
+            cfg = base_config()
+            parent = cfg
+            for part in path:
+                parent = parent[part]
+            parent[key] = value
+            assert validate_dict(cfg) == [".".join((*path, key)) + ": unknown key"]
+            flagged = tmp_path / "unknown.json"
+            flagged.write_text(json.dumps(cfg))
+            assert main(["validate", str(flagged)]) == 2, key
+            assert main(["run", str(flagged), "--out", str(tmp_path / "out")]) == 2, key
 
 
 class TestBuildProblem:

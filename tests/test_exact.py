@@ -152,17 +152,29 @@ class TestBranchAndBound:
             assert a.status is b.status is Status.OPTIMAL
             assert a.objective == pytest.approx(b.objective, abs=1e-9)
 
-    def test_node_limit(self):
+    def test_node_limit(self, monkeypatch):
+        monkeypatch.setattr(exact, "NODE_LIMIT", 1)
         rng = np.random.default_rng(1)
         m = knapsack_milp(rng.uniform(1, 20, 10), rng.uniform(1, 15, 10), 40.0)
         with pytest.raises(NodeLimitExceeded):
-            solve_milp_bnb(m, node_limit=1)
+            solve_milp_bnb(m)
 
-    def test_bound_log_invariants(self):
+    def test_bound_log_invariants(self, monkeypatch):
+        # Each node's LP bound (infinite if the node LP is infeasible), read
+        # from a spy on its solve.
+        log = []
+        solve = exact.solve_lp_exact
+
+        def logged(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            integral = sol.status is Status.OPTIMAL and np.max(np.abs(sol.x - np.round(sol.x))) <= exact.INT_TOL
+            log.append({"bound": sol.objective if sol.status is Status.OPTIMAL else np.inf, "integral": integral})
+            return sol
+
+        monkeypatch.setattr(exact, "solve_lp_exact", logged)
         rng = np.random.default_rng(5)
         m = knapsack_milp(rng.uniform(1, 20, 8), rng.uniform(1, 15, 8), 30.0)
-        log = []
-        sol = solve_milp_bnb(m, log=log)
+        sol = solve_milp_bnb(m)
         assert len(log) == sol.node_count
         # every LP bound is at or below the proven optimum of its subtree,
         # so the global minimum of bounds is at or below the final objective
@@ -170,6 +182,30 @@ class TestBranchAndBound:
         for e in log:
             if e["integral"]:
                 assert e["bound"] <= sol.objective + 1e-9
+
+    def test_lp_is_one_root_node(self):
+        # With no int_vars the search stops at the root: the result is
+        # solve_lp_exact's, bit for bit, in one node and without the tableau
+        # (true optima are cached, and a cached solution should not hold one).
+        lps = [gen_feasible_lp(RandomLpSpec(d=6, p=2, q=8, coeff_scale=1e3), seed)[0] for seed in range(20)]
+        lps += [lp_with_known_optimum(seed, 8, 40)[0] for seed in range(20)]
+        lps.append(StandardFormMilp([1.0], np.zeros((0, 1)), [], [[1.0], [-1.0]], [1.0, 0.0]))  # infeasible
+        lps.append(StandardFormMilp([-1.0], np.zeros((0, 1)), [], [[1.0]], [1.0]))  # unbounded
+        spec, prob = build_problem("alloy", {}, 0.25, 0)
+        ds = generate(synth_spec_for(spec, m=4, n=5, noise_std=0.2), seed=300)
+        for (_, theta_hat), (_, theta) in zip(ds.instances, ds.instances[1:]):
+            x1 = solve_lp_exact(instantiate(prob.stage1, theta_hat)).x
+            lps += [instantiate(prob.stage1, theta), prob.stage2_build(x1, theta)]
+        assert not any(lp.int_vars for lp in lps)
+        statuses = set()
+        for lp in lps:
+            a, b = solve_milp_bnb(lp), solve_lp_exact(lp)
+            assert a.status is b.status
+            assert a.x.tobytes() == b.x.tobytes()
+            assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
+            assert a.node_count == 1 and a.tableau is None
+            statuses.add(a.status)
+        assert statuses == set(Status)
 
     def test_lp_relaxation_bounds_milp(self):
         for seed in range(10):

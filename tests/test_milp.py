@@ -54,11 +54,6 @@ class TestInstantiate:
         t = ParamTemplate(simple_milp(), (Slot("h", 0, 0),), t=1)
         assert instantiate(t, np.array([5.0])).h[0] == 5.0
 
-    def test_offset_only(self):
-        sk = StandardFormMilp(c=[0.0, 0.0, 0.0], A=np.zeros((0, 3)), b=[], G=np.zeros((0, 3)), h=[])
-        t = ParamTemplate(sk, (Slot("c", 2, 0, scale=2.0, offset=1.0),), t=1)
-        assert instantiate(t, np.array([0.0])).c[2] == 1.0
-
     def test_alloy_layout_audit(self):
         # Covering rows G[m, k] must equal the estimated concentration con[k, m]
         # (positive sign: the canonical form is G x >= h).
@@ -83,7 +78,7 @@ class TestInstantiate:
     @given(lam=st.floats(0.0, 1.0), t1=st.floats(-5, 5), t2=st.floats(-5, 5))
     @settings(max_examples=50, deadline=None)
     def test_affine_in_theta(self, lam, t1, t2):
-        tpl = ParamTemplate(simple_milp(), (Slot("h", 0, 0, scale=2.0, offset=-1.0), Slot("c", 1, 0)), t=1)
+        tpl = ParamTemplate(simple_milp(), (Slot("h", 0, 0, scale=2.0), Slot("c", 1, 0)), t=1)
         blend = instantiate(tpl, np.array([lam * t1 + (1 - lam) * t2]))
         a = instantiate(tpl, np.array([t1]))
         b = instantiate(tpl, np.array([t2]))
