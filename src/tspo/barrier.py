@@ -18,7 +18,10 @@ cutoff itself, which is the point the KKT gradient module differentiates.
 Only that cutoff stage is solved to the caller's tolerance: the stages
 before it, and every stage of phase-1, stop at the loose ``CENTERING_TOL``,
 since path following needs only approximate centring between mu updates
-(Boyd & Vandenberghe, Convex Optimization, sec. 11.3).
+(Boyd & Vandenberghe, Convex Optimization, sec. 11.3).  A warm start from
+any x, such as a neighbouring problem's cutoff point that lies outside
+this problem's interior, is centred at the cutoff by one infeasible-start
+Newton stage (sec. 10.3) instead of phase-1 and the whole schedule.
 """
 
 from __future__ import annotations
@@ -107,15 +110,22 @@ def _newton_core(c, A, b, Gbar, hbar, mu, x0, tol, sbar0=None):
     the caller folds the x >= 0 barrier in as identity rows when wanted.
     Slacks are carried as their own iterate and updated incrementally, which
     avoids the catastrophic cancellation of recomputing Gx - h once slacks
-    shrink toward the barrier weight.  Returns (x, y, sbar, iters, converged).
+    shrink toward the barrier weight.  A start outside the interior lifts the
+    slacks to ``mu`` and carries the residual r = Gbar x - sbar - hbar, which
+    each step of length alpha scales by 1 - alpha (infeasible-start Newton,
+    Boyd & Vandenberghe sec. 10.3); the stage converges only once a full
+    step has cleared it.  Returns (x, y, sbar, iters, converged).
     """
     d = c.shape[0]
     p = A.shape[0]
     x = np.asarray(x0, dtype=float).copy()
     y = np.zeros(p)
     sbar = (Gbar @ x - hbar) if sbar0 is None else np.asarray(sbar0, dtype=float).copy()
+    r = None
     if (sbar <= 0).any():
-        raise NumericalFailure("Newton start point is not strictly interior")
+        lifted = np.maximum(sbar, mu)
+        r, sbar = sbar - lifted, lifted
+        h_scale = 1.0 + float(np.abs(hbar).max(initial=0.0))
     AT = A.T
     GbarT = Gbar.T
     no_rows = np.zeros(0)
@@ -125,7 +135,7 @@ def _newton_core(c, A, b, Gbar, hbar, mu, x0, tol, sbar0=None):
     tol_d = tol * c_scale
     tol_p = tol * b_scale
 
-    def scaled_residual(x, y, sbar):
+    def scaled_residual(x, y, sbar, r):
         """The merit norm the line search compares, and the iterate's state:
         residuals, their max-norms (for the convergence test) and 1/sbar
         (for the next Hessian)."""
@@ -135,39 +145,45 @@ def _newton_core(c, A, b, Gbar, hbar, mu, x0, tol, sbar0=None):
         rp = A @ x - b if p else no_rows
         rd_max = float(np.abs(rd).max()) if d else 0.0
         rp_max = float(np.abs(rp).max()) if p else 0.0
-        return rd_max / c_scale + rp_max / b_scale, (rd, rp, rd_max, rp_max, w)
+        merit = rd_max / c_scale + rp_max / b_scale
+        if r is not None:
+            merit += float(np.abs(r).max()) / h_scale
+        return merit, (rd, rp, rd_max, rp_max, w)
 
-    base, (rd, rp, rd_max, rp_max, w) = scaled_residual(x, y, sbar)
+    base, (rd, rp, rd_max, rp_max, w) = scaled_residual(x, y, sbar, r)
     for it in range(1, MAX_NEWTON + 1):
-        if rd_max <= tol_d and rp_max <= tol_p:
+        if r is None and rd_max <= tol_d and rp_max <= tol_p:
             return x, y, sbar, it - 1, True
         Gw = Gbar * w[:, None]
         H = mu * (Gw.T @ Gw)
         Hc = _chol_with_reg(H)
+        # The slack step Gbar dx + r enters the barrier gradient's linearization.
+        rhs = rd if r is None else rd + mu * (GbarT @ (w * w * r))
         if p:
             HiAT = chol_solve(Hc, AT)
             M = A @ HiAT
             Mc = _chol_with_reg(M)
-            dy = chol_solve(Mc, A @ chol_solve(Hc, rd) - rp)
-            dx = chol_solve(Hc, AT @ dy - rd)
+            dy = chol_solve(Mc, A @ chol_solve(Hc, rhs) - rp)
+            dx = chol_solve(Hc, AT @ dy - rhs)
         else:
             dy = no_rows
-            dx = -chol_solve(Hc, rd)
+            dx = -chol_solve(Hc, rhs)
 
-        gdx = Gbar @ dx
-        neg = gdx < 0
-        alpha_max = float((-sbar[neg] / gdx[neg]).min()) if neg.any() else math.inf
+        ds = Gbar @ dx if r is None else Gbar @ dx + r
+        neg = ds < 0
+        alpha_max = float((-sbar[neg] / ds[neg]).min()) if neg.any() else math.inf
         alpha = min(1.0, BOUNDARY_FRACTION * alpha_max)
         if alpha <= 0 or not math.isfinite(alpha):
             raise NumericalFailure("step length collapsed to zero")
 
         accepted = False
         for _ in range(40):
-            sbar_try = sbar + alpha * gdx
+            sbar_try = sbar + alpha * ds
             if (sbar_try > 0).all():
                 x_try = x + alpha * dx
                 y_try = y + alpha * dy if p else y
-                new, trial = scaled_residual(x_try, y_try, sbar_try)
+                r_try = None if r is None or alpha == 1.0 else (1.0 - alpha) * r
+                new, trial = scaled_residual(x_try, y_try, sbar_try, r_try)
                 if new <= (1.0 - 1e-4 * alpha) * base:
                     accepted = True
                     break
@@ -177,7 +193,7 @@ def _newton_core(c, A, b, Gbar, hbar, mu, x0, tol, sbar0=None):
         if not accepted:
             # Numerical floor reached; report the best iterate so far.
             return x, y, sbar, it, False
-        x, y, sbar, base = x_try, y_try, sbar_try, new
+        x, y, sbar, r, base = x_try, y_try, sbar_try, r_try, new
         rd, rp, rd_max, rp_max, w = trial
         if float(np.abs(x).max()) > ITERATE_NORM_LIMIT:
             raise NumericalFailure("iterate norm exceeded limit; relaxation appears unbounded")
@@ -264,8 +280,8 @@ def solve_fixed_mu(
     warm: BarrierSolution | None = None,
     tol: float = 1e-8,
 ) -> BarrierSolution:
-    """Solve the relaxation at one fixed barrier weight, from ``warm.x`` or
-    else from a phase-1 point."""
+    """Solve the relaxation at one fixed barrier weight, from ``warm.x`` (an
+    infeasible start if it is not interior) or else from a phase-1 point."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     x0 = warm.x if warm is not None else phase1_interior(lp)
@@ -283,16 +299,18 @@ def solve_barrier(
     The final stage is solved at ``mu_cutoff`` itself to ``tol``, the
     stages before it only to ``CENTERING_TOL``.  A ``warm`` solution, such
     as the cutoff point of a nearby problem or of the same training instance
-    one epoch earlier, skips phase-1 and the schedule when its x is strictly
-    interior for ``lp``: it is centred at the cutoff directly.  The cutoff
-    point is unique, so the warm and cold solves agree to ``tol``.  When the
-    warm point is not interior, or its solve raises NumericalFailure or does
-    not converge, the result is that of the cold solve, bit for bit.
+    one epoch earlier, skips phase-1 and the schedule: its x is centred at the
+    cutoff directly, by an infeasible-start Newton stage when it is not
+    strictly interior for ``lp`` (a stage-2 point after the commitment
+    moved).  The cutoff point is unique, so the warm and cold solves agree to
+    ``tol``.  When the warm solve raises NumericalFailure or does not
+    converge, the result is that of the cold solve, bit for bit; so an LP
+    with an empty interior still gets phase-1's Infeasible.
     """
     if mu_cutoff <= 0:
         raise ValueError("mu_cutoff must be positive")
     Gbar, hbar = _fold(lp)
-    if warm is not None and (Gbar @ warm.x - hbar > 0).all():
+    if warm is not None:
         try:
             sol = _follow_path(lp, Gbar, hbar, warm.x, [mu_cutoff], tol)
             if sol.converged:

@@ -221,6 +221,8 @@ def _basic_solve(tab: Tableau) -> np.ndarray:
     B[:m0, root] = tab.M[:, basis[root]]
     B[m0:] = rows[:, basis]
     xs = np.zeros(n0 + k)
+    if not basis.size:
+        return xs  # no constraint rows: every variable is nonbasic at zero
     _, _, xb, info = dgesv(B, np.concatenate([tab.rhs, rhs]))
     if info:
         raise LinAlgError("singular basis matrix")

@@ -119,7 +119,7 @@ def stage1_solve(
 
     ``exact`` returns the MILP optimum; ``barrier`` returns the interior
     solution of the relaxation at the cutoff (the training surrogate),
-    started from ``warm`` when it is interior (see ``solve_barrier``).
+    started from ``warm`` when given, interior or not (see ``solve_barrier``).
     """
     milp = instantiate(problem.stage1, theta_hat)
     if mode == "exact":

@@ -286,11 +286,23 @@ class TestInexactCentering:
 
     def test_phase1_still_rejects_empty_interiors(self):
         # x1 + x2 <= 1 with x1 >= 1 and x2 >= 0.5: infeasible; and a touching
-        # pair (x >= 1, x <= 1) whose only point has no interior.
-        for G, h in (([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-1.0, 1.0, 0.5]), ([[1.0], [-1.0]], [1.0, -1.0])):
-            lp = StandardFormMilp(np.ones(len(G[0])), np.zeros((0, len(G[0]))), [], G, h)
+        # pair (x >= 1, x <= 1) whose only point has no interior.  Warm from
+        # the cutoff point of a neighbour with an interior (h_open), an
+        # infeasible-start stage never clears its residual, so it never
+        # reports convergence, and the cold fallback's phase-1 gives the verdict.
+        for G, h, h_open in (
+            ([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-1.0, 1.0, 0.5], [-3.0, 1.0, 0.5]),
+            ([[1.0], [-1.0]], [1.0, -1.0], [1.0, -2.0]),
+        ):
+            d = len(G[0])
+            lp = StandardFormMilp(np.ones(d), np.zeros((0, d)), [], G, h)
             with pytest.raises(Infeasible):
                 phase1_interior(lp)
+            warm = solve_barrier(StandardFormMilp(np.ones(d), np.zeros((0, d)), [], G, h_open), 1e-3)
+            for mu in (1e-3, 1.0):
+                assert not solve_fixed_mu(lp, mu, warm=warm).converged
+            with pytest.raises(Infeasible):
+                solve_barrier(lp, 1e-3, warm=warm)
 
 
 def nearby_family_pairs():
@@ -338,11 +350,41 @@ class TestWarmStart:
             assert sol.iterations < cold.iterations, label
         assert calls == []
 
-    def test_non_interior_warm_point_gives_the_cold_result(self):
-        lp, _ = gen_feasible_lp(RandomLpSpec(d=4, p=1, q=5), 3)
-        cold = solve_barrier(lp, 1e-3)
-        outside = dataclasses.replace(cold, x=-cold.x)
-        assert_same_solution(solve_barrier(lp, 1e-3, warm=outside), cold)
+    def test_moved_commitment_recentred_without_phase1(self, monkeypatch):
+        # The training traffic: stage 2 at a commitment x1 that moved a
+        # little, warm from the old stage-2 cutoff point, which the moved
+        # commitment rows often leave outside the interior.  The solve
+        # reaches the cold cutoff point, strictly interior.  Where x1 enters
+        # only inequality rows (alloy, knapsack, nsp), one infeasible-start
+        # stage gets there with no phase-1; where it moves the equality
+        # right-hand side (stocking, facility), the warm stage may still
+        # give up and fall back to the cold path.
+        cases, outside = [], 0
+        for name in ("alloy", "knapsack", "nsp", "stocking", "facility"):
+            spec, prob = build_problem(name, {}, 0.25, seed=1)
+            thetas = [theta for _, theta in dataio.generate(synth_spec_for(spec, m=3, n=3), seed=0).instances]
+            for k, theta in enumerate(thetas):
+                x1 = solve_barrier(instantiate(prob.stage1, theta), 1e-3).x
+                moved = x1 * (1 + 1e-2 * np.random.default_rng(k).uniform(-1, 1, x1.shape))
+                lp = prob.stage2_build(moved, theta)
+                src = solve_barrier(prob.stage2_build(x1, theta), 1e-3)
+                Gbar, hbar = barrier._fold(lp)
+                outside += not (Gbar @ src.x - hbar > 0).all()
+                cases.append((f"{name} {k}", lp, src, solve_barrier(lp, 1e-3)))
+        assert outside >= 5
+        calls = []
+        real = barrier.phase1_interior
+        monkeypatch.setattr(barrier, "phase1_interior", lambda lp: calls.append(lp) or real(lp))
+        for label, lp, src, cold in cases:
+            sol = solve_barrier(lp, 1e-3, warm=src)
+            assert sol.converged, label
+            scale = 1.0 + np.abs(cold.x).max()
+            assert np.abs(sol.x - cold.x).max() <= 1e-6 * scale, label
+            assert (sol.x > 0).all() and (lp.G @ sol.x - lp.h > 0).all(), label
+            kkt.vjp(sol, np.ones(lp.d))  # passes its NotInterior check
+            if np.array_equal(lp.b, src.lp.b):
+                assert calls == [], label
+            calls.clear()
 
     @pytest.mark.parametrize("failure", ["nonconverged", "raises"])
     def test_failed_warm_solve_falls_back_to_cold(self, monkeypatch, failure):

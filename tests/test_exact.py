@@ -85,6 +85,16 @@ class TestSolveLpExact:
         ub = StandardFormMilp([-1.0], np.zeros((0, 1)), [], [[1.0]], [1.0])
         assert solve_lp_exact(ub).status is Status.UNBOUNDED
 
+    def test_no_constraint_rows(self):
+        # An empty basis: every variable is nonbasic at zero.
+        none = (np.zeros((0, 2)), [], np.zeros((0, 2)), [])
+        sol = solve_lp_exact(StandardFormMilp([1.0, 2.0], *none))
+        assert sol.status is Status.OPTIMAL
+        assert sol.x.tolist() == [0.0, 0.0] and sol.objective == 0.0
+        assert solve_lp_exact(StandardFormMilp([-1.0, 2.0], *none)).status is Status.UNBOUNDED
+        milp = solve_milp_bnb(StandardFormMilp([1.0, 2.0], *none, int_vars=frozenset({0})))
+        assert milp.status is Status.OPTIMAL and milp.x.tolist() == [0.0, 0.0]
+
     def test_warm_child_matches_vertex_enumeration(self):
         # Two bound rows in a row, each re-solved by the dual simplex from the
         # previous tableau, against the LP with the rows written out.
